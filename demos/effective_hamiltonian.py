@@ -16,7 +16,7 @@ from fockladder import (
     SystemParams,
     build_floquet,
     build_heff,
-    ground_state,
+    solve_ground,
     spectrum,
 )
 
@@ -38,8 +38,7 @@ def main():
         previous = value
 
     params = SystemParams(n=20, mu=0.5, xi=0.5, phi=0.5)
-    spec = spectrum(build_floquet(params), params.tau)
-    _, kicked = ground_state(spec)
+    _, kicked = solve_ground(params)
     h = build_heff(params).entries
     _, vectors = np.linalg.eigh(h)
     fidelity = np.abs(np.vdot(vectors[:, 0], kicked)) ** 2

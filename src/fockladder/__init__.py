@@ -36,6 +36,7 @@ from .floquet import (
     build_heff,
     ground_state,
     physical_to_effective,
+    solve_ground,
     spectrum,
 )
 from .meanfield import (

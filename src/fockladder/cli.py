@@ -39,7 +39,7 @@ from .experiments import (
     scan_flux,
     scan_threads,
 )
-from .floquet import BranchAmbiguityError, SystemParams, build_floquet, ground_state, spectrum
+from .floquet import BranchAmbiguityError, SystemParams, solve_ground
 from .lattice import rung_values
 from .meanfield import chiral_current_analytic, entropy_analytic, mu_critical
 from .observables import (
@@ -412,8 +412,7 @@ def _cmd_bands(config, threads):
 def _cmd_ground(config, threads):
     params = SystemParams(n=config.n, mu=config.mu, xi=config.xi,
                           phi=config.phi, tau=config.tau)
-    spec = spectrum(build_floquet(params), config.tau)
-    eps0, state = ground_state(spec)
+    eps0, state = solve_ground(params)
     fock = fock_density_phase(state)
     jc = chiral_current_normalized(state, config.phi)
     ent = entanglement_entropy_numeric(state)

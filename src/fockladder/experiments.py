@@ -21,7 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .floquet import BranchAmbiguityError, SystemParams, build_floquet, ground_state, spectrum
+from .floquet import (
+    BranchAmbiguityError,
+    SystemParams,
+    build_floquet,
+    ground_state,
+    solve_ground,
+    spectrum,
+)
 from .lattice import rung_values
 from .meanfield import band_energy, chiral_current_analytic, critical_flux, entropy_analytic, mu_critical
 from .observables import (
@@ -143,13 +150,19 @@ class BandPanel:
     ground_phase: np.ma.MaskedArray
 
 
-def _ground(params):
-    return ground_state(spectrum(build_floquet(params), params.tau))
+def _solve_or_abort(params, where, *position):
+    # solve_ground, re-raising a branch ambiguity with the scan position
+    # filled into `where`; formatted only on failure, since scans call
+    # this tens of thousands of times.
+    try:
+        return solve_ground(params)
+    except BranchAmbiguityError as exc:
+        raise BranchAmbiguityError(f"{where.format(*position)}: {exc}") from exc
 
 
 def ground_record(params):
     """Ground-state observables plus their analytic pair at one point."""
-    _, state = _ground(params)
+    _, state = solve_ground(params)
     in_domain = 0.0 <= params.phi <= np.pi / 2.0
     return ScanRecord(
         params=params,
@@ -189,10 +202,7 @@ def scan_flux(n_bosons, mu, xi, tau=0.01, phi_grid=None, threads=None):
 
     def point(phi):
         params = SystemParams(n=n_bosons, mu=mu, xi=xi, phi=float(phi), tau=tau)
-        try:
-            _, state = _ground(params)
-        except BranchAmbiguityError as exc:
-            raise BranchAmbiguityError(f"flux scan aborted at phi={phi}: {exc}") from exc
+        _, state = _solve_or_abort(params, "flux scan aborted at phi={}", phi)
         return ScanRecord(
             params=params,
             jc_numeric=chiral_current_normalized(state, params.phi),
@@ -205,12 +215,7 @@ def scan_flux(n_bosons, mu, xi, tau=0.01, phi_grid=None, threads=None):
 def _current_at(n_bosons, xi, tau):
     def current(mu, phi):
         params = SystemParams(n=n_bosons, mu=float(mu), xi=xi, phi=float(phi), tau=tau)
-        try:
-            _, state = _ground(params)
-        except BranchAmbiguityError as exc:
-            raise BranchAmbiguityError(
-                f"interaction scan aborted at mu={mu}, phi={phi}: {exc}"
-            ) from exc
+        _, state = _solve_or_abort(params, "interaction scan aborted at mu={}, phi={}", mu, phi)
         return chiral_current_normalized(state, params.phi)
 
     return current
@@ -406,10 +411,7 @@ def entropy_scan(n_bosons, xi, tau=0.01, phi_grid=None, threads=None):
 
     def point(phi):
         params = SystemParams(n=n_bosons, mu=0.0, xi=xi, phi=float(phi), tau=tau)
-        try:
-            _, state = _ground(params)
-        except BranchAmbiguityError as exc:
-            raise BranchAmbiguityError(f"entropy scan aborted at phi={phi}: {exc}") from exc
+        _, state = _solve_or_abort(params, "entropy scan aborted at phi={}", phi)
         return ScanRecord(
             params=params,
             entropy_numeric=entanglement_entropy_numeric(state),

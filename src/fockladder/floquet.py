@@ -24,6 +24,15 @@ gives orthonormal eigenvectors even inside degenerate clusters, and
 eps = -2 atan(h)/tau lands in the principal zone automatically.  The
 sign convention eps_i = -arg(lambda_i)/tau makes quasienergies order
 like energies of H_eff, so "ground state" means minimal eps.
+
+U_F commutes with the parity Pi = sigma_x (x) (n -> -n), so scans solve
+its two parity sectors instead of the full ladder.  On the basis
+(|n, L> +- |-n, R>)/sqrt(2) the sector operators are U_+- = A +- B R,
+where [A | B] are the left-leg rows of U_F and R reverses columns; each
+is (N+1)-dimensional.  The lower sector minimum is the ground state;
+when the two minima lie within DEGENERACY_TOL (a vortex doublet) the
+even sector wins, which is the parity-even member ground_state picks
+from the full spectrum.
 """
 
 from __future__ import annotations
@@ -57,6 +66,7 @@ __all__ = [
     "build_heff",
     "spectrum",
     "ground_state",
+    "solve_ground",
 ]
 
 # Two quasienergies closer than this are treated as one degenerate doublet.
@@ -153,15 +163,11 @@ def _bec_kick(n_bosons, tau):
     return kick
 
 
-def build_floquet(params):
-    """Assemble the one-period evolution operator U_F = E1 E2 E3 E4.
-
-    E1 and E3 are diagonal, E4 acts only on the leg index, so the full
-    product reduces to phase-scaled copies of the condensate kick
-    exp(i tau S_x) in each leg block; no matrix multiplication needed.
-    """
+def _kick_factors(params):
+    # The pieces every product of the four kicks is made of: the
+    # condensate kick exp(i tau S_x), the E1 phases of each leg (E3
+    # swaps them) and cos/sin of the E4 leg mixing.
     p = params
-    size = dim_bec(p.n)
     nvals = rung_values(p.n)
     kick = _bec_kick(p.n, p.tau)
 
@@ -169,13 +175,23 @@ def build_floquet(params):
     # E1 = exp(-i [sz2 + phi n sigma_z]); sigma_z = -1 on the left leg.
     e1_left = np.exp(-1j * (sz2 - p.phi * nvals))
     e1_right = np.exp(-1j * (sz2 + p.phi * nvals))
+
+    half_kick = 0.5 * p.n * p.xi * p.tau
+    return kick, e1_left, e1_right, np.cos(half_kick), np.sin(half_kick)
+
+
+def build_floquet(params):
+    """Assemble the one-period evolution operator U_F = E1 E2 E3 E4.
+
+    E1 and E3 are diagonal, E4 acts only on the leg index, so the full
+    product reduces to phase-scaled copies of the condensate kick
+    exp(i tau S_x) in each leg block; no matrix multiplication needed.
+    """
+    size = dim_bec(params.n)
+    kick, e1_left, e1_right, c, s = _kick_factors(params)
     # E3 flips the sign of the flux term.
     e3_left = e1_right
     e3_right = e1_left
-
-    half_kick = 0.5 * p.n * p.xi * p.tau
-    c = np.cos(half_kick)
-    s = np.sin(half_kick)
 
     u = np.empty((2 * size, 2 * size), dtype=complex)
     left_block = e1_left[:, None] * kick
@@ -261,3 +277,31 @@ def ground_state(spec):
         signs, basis = np.linalg.eigh(overlap)
         state = doublet @ basis[:, np.argmax(signs)]
     return eps[0], state / np.linalg.norm(state)
+
+
+def solve_ground(params):
+    """Ground quasienergy and state of U_F, solved in its parity sectors.
+
+    Each sector block U_+- = A +- B R goes through spectrum(), so the
+    branch check covers every quasienergy of the full operator.  The
+    lower sector minimum wins, the even sector on a tie within
+    DEGENERACY_TOL; eps0 is the smaller minimum.  The state is the
+    winner's lowest vector x embedded as [x; +-x reversed], an exact
+    parity eigenstate, with unit norm to within one ulp.
+    """
+    kick, e1_left, e1_right, c, s = _kick_factors(params)
+    # Left-leg rows of U_F: A = U_LL, and B R = U_LR with reversed
+    # columns; E3 gives the left rows the right leg's E1 phases.
+    left_block = e1_left[:, None] * kick
+    a = left_block * (c * e1_right)[None, :]
+    b_reversed = left_block[:, ::-1] * (1j * s * e1_right[::-1])[None, :]
+    # numpy.linalg only: scipy's bundled OpenBLAS, mixed in, costs more than the solve.
+    even = spectrum(a + b_reversed, params.tau)
+    odd = spectrum(a - b_reversed, params.tau)
+    eps_even, eps_odd = even.quasienergies[0], odd.quasienergies[0]
+    if eps_even <= eps_odd + DEGENERACY_TOL:
+        x, sign = even.states[:, 0], 1.0
+    else:
+        x, sign = odd.states[:, 0], -1.0
+    state = np.concatenate([x, sign * x[::-1]])
+    return min(eps_even, eps_odd), state / np.linalg.norm(state)

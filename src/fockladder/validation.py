@@ -29,10 +29,6 @@ def _result(name, passed, detail):
     return CheckResult(name=name, passed=bool(passed), detail=detail)
 
 
-def _ground(params):
-    return floquet.ground_state(floquet.spectrum(floquet.build_floquet(params), params.tau))
-
-
 def _check_spin_algebra():
     worst = 0.0
     for n in (2, 20, 100):
@@ -144,7 +140,7 @@ def _check_route_fidelity():
     infidelities = []
     for tau in (base.tau, base.tau / 2.0):
         params = floquet.SystemParams(n=base.n, mu=base.mu, xi=base.xi, phi=base.phi, tau=tau)
-        _, numeric = _ground(params)
+        _, numeric = floquet.solve_ground(params)
         _, exact = np.linalg.eigh(floquet.build_heff(params).entries)
         infidelities.append(1.0 - np.abs(np.vdot(numeric, exact[:, 0])) ** 2)
     ratio = infidelities[0] / infidelities[1]
@@ -154,6 +150,39 @@ def _check_route_fidelity():
         ok,
         f"infidelity {infidelities[0]:.2e} at tau=0.01 (tol 1e-4), "
         f"improves {ratio:.2f}x when tau halves (expect ~4)",
+    )
+
+
+def _check_parity_sector_route():
+    # solve_ground against the full-space spectrum at a gapped point
+    # and at a vortex doublet, where ground_state picks the even member.
+    worst_eps, worst_jc, worst_parity = 0.0, 0.0, 0.0
+    for params in (
+        floquet.SystemParams(n=8, mu=0.0, xi=0.5, phi=0.5),
+        floquet.SystemParams(n=100, mu=0.0, xi=0.5, phi=1.4),
+    ):
+        full_eps, full_state = floquet.ground_state(
+            floquet.spectrum(floquet.build_floquet(params), params.tau)
+        )
+        eps, state = floquet.solve_ground(params)
+        pi_matrix = lattice.parity_operator(params.n).entries
+        worst_eps = max(worst_eps, abs(eps - full_eps) / max(1.0, abs(full_eps)))
+        worst_jc = max(
+            worst_jc,
+            abs(
+                observables.chiral_current_normalized(state, params.phi)
+                - observables.chiral_current_normalized(full_state, params.phi)
+            ),
+        )
+        worst_parity = max(
+            worst_parity, abs(abs(np.vdot(state, pi_matrix @ state).real) - 1.0)
+        )
+    ok = worst_eps <= 1e-12 and worst_jc <= 1e-12 and worst_parity <= 1e-12
+    return _result(
+        "parity-sector-route",
+        ok,
+        f"sector vs full-space ground: relative eps0 gap {worst_eps:.2e}, "
+        f"j_c gap {worst_jc:.2e}, |<Pi>| - 1 = {worst_parity:.2e} (tol 1e-12)",
     )
 
 
@@ -180,7 +209,7 @@ def _check_entropy_bounds():
     worst_low, worst_high = 0.0, 0.0
     for phi in np.linspace(0.05, np.pi / 2.0, 12):
         params = floquet.SystemParams(n=60, mu=0.0, xi=0.5, phi=float(phi))
-        _, state = _ground(params)
+        _, state = floquet.solve_ground(params)
         s = observables.entanglement_entropy_numeric(state)
         worst_low = min(worst_low, s)
         worst_high = max(worst_high, s)
@@ -208,8 +237,8 @@ def _check_current_antisymmetry():
     for phi in (0.3, 0.55):
         plus = floquet.SystemParams(n=50, mu=0.0, xi=0.5, phi=phi)
         minus = floquet.SystemParams(n=50, mu=0.0, xi=0.5, phi=-phi)
-        _, state_plus = _ground(plus)
-        _, state_minus = _ground(minus)
+        _, state_plus = floquet.solve_ground(plus)
+        _, state_minus = floquet.solve_ground(minus)
         total = observables.chiral_current_numeric(
             state_plus, phi
         ) + observables.chiral_current_numeric(state_minus, -phi)
@@ -227,7 +256,7 @@ def _check_hellmann_feynman():
     eps = {}
     for phi in (params.phi - step, params.phi, params.phi + step):
         shifted = floquet.SystemParams(n=params.n, mu=params.mu, xi=params.xi, phi=phi)
-        eps[phi], state = _ground(shifted)
+        eps[phi], state = floquet.solve_ground(shifted)
         if phi == params.phi:
             current = observables.chiral_current_numeric(state, phi)
     derivative = (eps[params.phi + step] - eps[params.phi - step]) / (2.0 * step)
@@ -327,7 +356,7 @@ def _check_width_scaling():
     widths = []
     for n in (20, 50, 100):
         params = floquet.SystemParams(n=n, mu=0.0, xi=0.5, phi=0.3)
-        _, state = _ground(params)
+        _, state = floquet.solve_ground(params)
         widths.append(np.sqrt(observables.rung_second_moment(state)) / n)
     decreasing = bool(np.all(np.diff(widths) < 0))
     return _result(
@@ -348,6 +377,7 @@ def run_invariant_suite():
         _check_spectrum_contract,
         _check_two_route_spectrum,
         _check_route_fidelity,
+        _check_parity_sector_route,
         _check_parseval,
         _check_entropy_bounds,
         _check_current_antisymmetry,

@@ -14,7 +14,8 @@ from fockladder.experiments import (
     scan_flux,
     scan_threads,
 )
-from fockladder.floquet import SystemParams
+from fockladder import experiments
+from fockladder.floquet import BranchAmbiguityError, SystemParams
 from fockladder.meanfield import critical_flux
 
 XI = 0.5
@@ -195,3 +196,26 @@ class TestBandPanels:
     def test_rejects_empty_flux_list(self):
         with pytest.raises(ValueError, match="empty"):
             band_panels(8, XI, flux_list=[])
+
+
+class TestBranchAbortMessages:
+    @pytest.fixture
+    def ambiguous(self, monkeypatch):
+        def refuse(params):
+            raise BranchAmbiguityError("edge")
+
+        monkeypatch.setattr(experiments, "solve_ground", refuse)
+
+    def test_flux_scan_names_the_flux(self, ambiguous):
+        with pytest.raises(BranchAmbiguityError, match=r"^flux scan aborted at phi=0.5: edge$"):
+            scan_flux(8, 0.0, XI, phi_grid=[0.5])
+
+    def test_interaction_scan_names_the_point(self, ambiguous):
+        with pytest.raises(
+            BranchAmbiguityError, match=r"^interaction scan aborted at mu=-0.1, phi=0.5: edge$"
+        ):
+            interaction_scan(8, XI, mu_grid=[-0.1, 0.0, 0.1], phi_grid=[0.5])
+
+    def test_entropy_scan_names_the_flux(self, ambiguous):
+        with pytest.raises(BranchAmbiguityError, match=r"^entropy scan aborted at phi=0.5: edge$"):
+            entropy_scan(8, XI, phi_grid=[0.5])

@@ -10,6 +10,7 @@ from fockladder.floquet import (
     build_heff,
     ground_state,
     physical_to_effective,
+    solve_ground,
     spectrum,
 )
 from fockladder.lattice import (
@@ -21,6 +22,7 @@ from fockladder.lattice import (
     dim_bec,
     parity_operator,
 )
+from fockladder.observables import chiral_current_normalized
 
 
 def brute_force_floquet(params):
@@ -217,3 +219,51 @@ class TestGroundState:
         pi_op = parity_operator(params.n).entries
         assert np.real(np.vdot(state, pi_op @ state)) == pytest.approx(1.0, abs=1e-8)
         assert abs(np.linalg.norm(state) - 1.0) <= np.finfo(float).eps
+
+
+def _parity_expectation(state, n_bosons):
+    return np.real(np.vdot(state, parity_operator(n_bosons).entries @ state))
+
+
+class TestSolveGround:
+    @pytest.mark.parametrize("n", [2, 8, 20, 100])
+    @pytest.mark.parametrize("mu", [-0.45, 0.0, 5.0])
+    def test_matches_full_space_route(self, n, mu):
+        for phi in [-0.3, *np.linspace(0.0, np.pi / 2.0, 13)]:
+            params = SystemParams(n=n, mu=mu, xi=0.5, phi=float(phi))
+            full_eps, full_state = ground_state(spectrum(build_floquet(params), params.tau))
+            eps, state = solve_ground(params)
+            assert abs(eps - full_eps) <= 1e-12 * max(1.0, abs(full_eps))
+            assert chiral_current_normalized(state, phi) == pytest.approx(
+                chiral_current_normalized(full_state, phi), abs=1e-12
+            )
+
+    @pytest.mark.parametrize(
+        "params, doublet",
+        [
+            (SystemParams(n=100, mu=0.0, xi=0.5, phi=1.4), True),
+            (SystemParams(n=8, mu=0.0, xi=0.5, phi=0.5), False),
+        ],
+    )
+    def test_unit_norm_on_both_branches(self, params, doublet):
+        spec = spectrum(build_floquet(params), params.tau)
+        assert (spec.quasienergies[1] - spec.quasienergies[0] <= DEGENERACY_TOL) == doublet
+        _, state = solve_ground(params)
+        assert abs(np.linalg.norm(state) - 1.0) <= np.finfo(float).eps
+        if doublet:
+            assert _parity_expectation(state, params.n) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            SystemParams(n=20, mu=0.0, xi=0.5, phi=5.0 * np.pi / 12.0),
+            SystemParams(n=200, mu=-0.45, xi=0.5, phi=5.0 * np.pi / 24.0),
+        ],
+    )
+    def test_exact_parity_at_near_doublets(self, params):
+        # Gaps of 6e-10 and 2e-10, above DEGENERACY_TOL: the full-space
+        # eigh leaks across sectors here, the sector solve cannot.
+        gap = np.diff(spectrum(build_floquet(params), params.tau).quasienergies[:2])[0]
+        assert DEGENERACY_TOL < gap < 1e-9
+        _, state = solve_ground(params)
+        assert abs(abs(_parity_expectation(state, params.n)) - 1.0) <= 1e-12

@@ -26,5 +26,6 @@ class TestInvariantSuite:
             "entropy-bounds",
             "current-antisymmetry",
             "hellmann-feynman",
+            "parity-sector-route",
         ):
             assert expected in names
