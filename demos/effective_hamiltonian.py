@@ -22,8 +22,8 @@ from fockladder import (
 
 
 def defect(params):
-    u = build_floquet(params).entries
-    h = build_heff(params).entries
+    u = build_floquet(params)
+    h = build_heff(params)
     return np.linalg.norm(u - expm(-1j * params.tau * h), 2)
 
 
@@ -39,7 +39,7 @@ def main():
 
     params = SystemParams(n=20, mu=0.5, xi=0.5, phi=0.5)
     _, kicked = solve_ground(params)
-    h = build_heff(params).entries
+    h = build_heff(params)
     _, vectors = np.linalg.eigh(h)
     fidelity = np.abs(np.vdot(vectors[:, 0], kicked)) ** 2
     print()

@@ -11,7 +11,7 @@ and small sizes so the demo finishes in seconds; the full-scale run is
 
 import numpy as np
 
-from fockladder import find_mu_max, fit_inverse_size, mu_critical
+from fockladder import finite_size_extrapolation, mu_critical
 
 XI = 0.5
 SIZES = (12, 16, 20, 24)
@@ -19,20 +19,18 @@ SIZES = (12, 16, 20, 24)
 
 def main():
     target = mu_critical(XI)
-    mu_grid = np.linspace(-0.6, -0.2, 21)
-    phi_grid = np.linspace(0.0, np.pi / 2.0, 41)
+    fit, mu_maxes = finite_size_extrapolation(
+        ns=SIZES,
+        xi=XI,
+        mu_grid=np.linspace(-0.6, -0.2, 21),
+        phi_grid=np.linspace(0.0, np.pi / 2.0, 41),
+    )
 
     print(f"xi = {XI}, mu_c = {target:.6f}")
     print()
     print(f"{'N':>4} {'mu_max':>12} {'|mu_max - mu_c|':>16}")
-    points = []
-    for n_bosons in SIZES:
-        mu_max, _ = find_mu_max(n_bosons, XI, mu_grid=mu_grid, phi_grid=phi_grid)
-        diff = abs(mu_max - target)
-        points.append((1.0 / n_bosons, diff))
-        print(f"{n_bosons:4d} {mu_max:12.6f} {diff:16.6f}")
-
-    fit = fit_inverse_size(points)
+    for n_bosons, mu_max in zip(SIZES, mu_maxes):
+        print(f"{n_bosons:4d} {mu_max:12.6f} {abs(mu_max - target):16.6f}")
     print()
     print(
         f"linear fit in 1/N: difference -> {fit.intercept:+.2e} at 1/N = 0 "

@@ -2,8 +2,8 @@
 
 The package has four layers plus plumbing:
 
-- lattice: spin operators, tensor embedding and the parity reflection
-  on the two-leg ladder of number-difference states.
+- lattice: spin operators and the parity reflection on the two-leg
+  ladder of number-difference states.
 - floquet: the one-period evolution operator, the effective
   Hamiltonian it approximates and quasienergy spectra.
 - meanfield: closed forms for the bands, critical flux, chiral
@@ -16,15 +16,10 @@ The package has four layers plus plumbing:
 from .lattice import (
     SIGMA_X,
     SIGMA_Z,
-    FockIndex,
-    Operator,
-    build_splus,
     build_sx,
     build_sy,
     build_sz,
     dim_bec,
-    dim_total,
-    embed,
     parity_operator,
     rung_values,
 )
@@ -40,10 +35,7 @@ from .floquet import (
     spectrum,
 )
 from .meanfield import (
-    BandPoint,
-    MeanfieldState,
     band_energy,
-    band_point,
     bloch_block,
     chiral_current_analytic,
     critical_flux,
@@ -55,13 +47,10 @@ from .meanfield import (
 )
 from .observables import (
     FockMap,
-    LegField,
-    PhaseGrid,
     chiral_current_normalized,
     chiral_current_numeric,
     entanglement_entropy_numeric,
     fock_density_phase,
-    phase_density_profile,
     phase_energy_density,
     phase_grid,
     rung_second_moment,
@@ -73,13 +62,13 @@ from .experiments import (
     BandPanel,
     FitResult,
     ScanRecord,
+    analytic_pair,
     band_panels,
     default_fluxes,
     entropy_scan,
     find_mu_max,
     finite_size_extrapolation,
     fit_inverse_size,
-    ground_record,
     interaction_scan,
     refine_interaction_peak,
     scan_flux,

@@ -30,10 +30,10 @@ from . import __version__
 from .experiments import (
     DEFAULT_NS,
     DEFAULT_PHI_GRID,
+    analytic_pair,
     band_panels,
     entropy_scan,
-    find_mu_max,
-    fit_inverse_size,
+    finite_size_extrapolation,
     interaction_scan,
     refine_interaction_peak,
     scan_flux,
@@ -41,7 +41,7 @@ from .experiments import (
 )
 from .floquet import BranchAmbiguityError, SystemParams, solve_ground
 from .lattice import rung_values
-from .meanfield import chiral_current_analytic, entropy_analytic, mu_critical
+from .meanfield import mu_critical
 from .observables import (
     chiral_current_normalized,
     entanglement_entropy_numeric,
@@ -416,13 +416,7 @@ def _cmd_ground(config, threads):
     fock = fock_density_phase(state)
     jc = chiral_current_normalized(state, config.phi)
     ent = entanglement_entropy_numeric(state)
-    in_domain = 0.0 <= config.phi <= HALF_PI
-    jc_ana = chiral_current_analytic(config.phi, config.xi) if in_domain else None
-    ent_ana = (
-        entropy_analytic(config.phi, config.xi)
-        if in_domain and math.sin(config.phi) != 0.0
-        else None
-    )
+    jc_ana, ent_ana = analytic_pair(config.phi, config.xi)
     header = ["leg [m]", "rung [n]", "density [prob]", "phase [rad]"]
     rungs = rung_values(config.n)
     phase = _phase_rows(fock.phase)
@@ -486,19 +480,14 @@ def _cmd_mu_scan(config, threads):
 
 
 def _cmd_fss(config, threads):
+    fit, mu_maxes = finite_size_extrapolation(
+        ns=config.ns, xi=config.xi, tau=config.tau, mu_grid=_mu_grid(config),
+        phi_grid=_phi_grid(config), threads=threads)
     target = mu_critical(config.xi)
     header = ["n [bosons]", "inverse_n [1/bosons]",
               "mu_max [dimensionless]", "abs_mu_diff [dimensionless]"]
-    rows = []
-    points = []
-    for n_bosons in config.ns:
-        mu_max, _ = find_mu_max(n_bosons, config.xi, tau=config.tau,
-                                mu_grid=_mu_grid(config),
-                                phi_grid=_phi_grid(config), threads=threads)
-        diff = abs(mu_max - target)
-        rows.append([n_bosons, 1.0 / n_bosons, mu_max, diff])
-        points.append((1.0 / n_bosons, diff))
-    fit = fit_inverse_size(points)
+    rows = [[n, 1.0 / n, mu_max, abs(mu_max - target)]
+            for n, mu_max in zip(config.ns, mu_maxes)]
     result = {
         "slope": fit.slope,
         "intercept": fit.intercept,

@@ -47,7 +47,7 @@ __all__ = [
     "DEFAULT_NS",
     "THREADS_ENV_VAR",
     "scan_threads",
-    "ground_record",
+    "analytic_pair",
     "scan_flux",
     "interaction_scan",
     "refine_interaction_peak",
@@ -55,6 +55,7 @@ __all__ = [
     "fit_inverse_size",
     "finite_size_extrapolation",
     "entropy_scan",
+    "default_fluxes",
     "band_panels",
 ]
 
@@ -160,21 +161,16 @@ def _solve_or_abort(params, where, *position):
         raise BranchAmbiguityError(f"{where.format(*position)}: {exc}") from exc
 
 
-def ground_record(params):
-    """Ground-state observables plus their analytic pair at one point."""
-    _, state = solve_ground(params)
-    in_domain = 0.0 <= params.phi <= np.pi / 2.0
-    return ScanRecord(
-        params=params,
-        jc_numeric=chiral_current_normalized(state, params.phi),
-        jc_analytic=chiral_current_analytic(params.phi, params.xi) if in_domain else None,
-        entropy_numeric=entanglement_entropy_numeric(state),
-        entropy_analytic=(
-            entropy_analytic(params.phi, params.xi)
-            if in_domain and np.sin(params.phi) != 0.0
-            else None
-        ),
-    )
+def analytic_pair(phi, xi):
+    """Closed-form (jc, entropy) at one flux, None where a form does not apply.
+
+    Both forms hold on 0 <= phi <= pi/2; the entropy form is singular
+    at zero flux, where only the current's (0.0) is returned.
+    """
+    if not 0.0 <= phi <= np.pi / 2.0:
+        return None, None
+    entropy = entropy_analytic(phi, xi) if np.sin(phi) != 0.0 else None
+    return chiral_current_analytic(phi, xi), entropy
 
 
 def _check_phi_grid(grid, allow_zero=True):
@@ -383,7 +379,8 @@ def finite_size_extrapolation(ns=DEFAULT_NS, xi=0.5, tau=0.01, mu_grid=None,
 
     Runs find_mu_max per system size and fits a least-squares line
     through (1/N, |mu_max - mu_c|); the intercept estimates the
-    residual difference at 1/N = 0.
+    residual difference at 1/N = 0.  Returns (fit, mu_maxes) with one
+    mu_max per size, in the order of ns.
     """
     sizes = tuple(int(n) for n in ns)
     if len(sizes) < 3:
@@ -392,11 +389,11 @@ def finite_size_extrapolation(ns=DEFAULT_NS, xi=0.5, tau=0.01, mu_grid=None,
         raise ValueError(f"duplicate system sizes in {sizes} make the fit degenerate")
 
     target = mu_critical(xi)
-    points = []
-    for n_bosons in sizes:
-        mu_max, _ = find_mu_max(n_bosons, xi, tau, mu_grid, phi_grid, threads)
-        points.append((1.0 / n_bosons, abs(mu_max - target)))
-    return fit_inverse_size(points)
+    mu_maxes = tuple(
+        find_mu_max(n_bosons, xi, tau, mu_grid, phi_grid, threads)[0] for n_bosons in sizes
+    )
+    points = [(1.0 / n, abs(mu_max - target)) for n, mu_max in zip(sizes, mu_maxes)]
+    return fit_inverse_size(points), mu_maxes
 
 
 def entropy_scan(n_bosons, xi, tau=0.01, phi_grid=None, threads=None):
@@ -432,7 +429,7 @@ def band_panels(n_bosons, xi, mu=0.0, tau=0.01, flux_list=None, threads=None):
     fluxes = default_fluxes(xi) if flux_list is None else tuple(float(f) for f in flux_list)
     if not fluxes:
         raise ValueError("flux list is empty")
-    grid = phase_grid(n_bosons)
+    thetas = phase_grid(n_bosons)
     size = n_bosons + 1
 
     def panel(flux):
@@ -443,7 +440,7 @@ def band_panels(n_bosons, xi, mu=0.0, tau=0.01, flux_list=None, threads=None):
             raise BranchAmbiguityError(f"band panel aborted at phi={flux}: {exc}") from exc
         eps0, ground = ground_state(spec)
         # One Fourier matrix serves every eigenstate on both legs.
-        fourier = np.exp(1j * np.multiply.outer(grid.thetas, rung_values(n_bosons)))
+        fourier = np.exp(1j * np.multiply.outer(thetas, rung_values(n_bosons)))
         density = np.empty((2, spec.states.shape[1], size))
         for m_index in range(2):
             block = spec.states[m_index * size:(m_index + 1) * size, :]
@@ -451,9 +448,9 @@ def band_panels(n_bosons, xi, mu=0.0, tau=0.01, flux_list=None, threads=None):
         ground_map = fock_density_phase(ground)
         return BandPanel(
             flux=flux,
-            thetas=grid.thetas,
-            e_lower=band_energy(grid.thetas, flux, xi, n_bosons, "lower"),
-            e_upper=band_energy(grid.thetas, flux, xi, n_bosons, "upper"),
+            thetas=thetas,
+            e_lower=band_energy(thetas, flux, xi, n_bosons, "lower"),
+            e_upper=band_energy(thetas, flux, xi, n_bosons, "upper"),
             quasienergies=spec.quasienergies,
             density=density,
             ground_quasienergy=float(eps0),

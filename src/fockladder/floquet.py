@@ -46,7 +46,6 @@ from scipy.linalg import eigh_tridiagonal
 from .lattice import (
     SIGMA_X,
     SIGMA_Z,
-    Operator,
     _check_boson_number,
     _splus_couplings,
     build_sx,
@@ -118,7 +117,6 @@ class Spectrum:
 
     quasienergies: np.ndarray
     states: np.ndarray
-    tau: float
 
 
 def physical_to_effective(n, u, w, j, k, omega, tau=0.01):
@@ -202,7 +200,7 @@ def build_floquet(params):
     u[:size, size:] = left_block * (1j * s * e3_left)[None, :]
     u[size:, :size] = right_block * (1j * s * e3_right)[None, :]
     u[size:, size:] = right_block * (c * e3_right)[None, :]
-    return Operator(u, kind="unitary")
+    return u
 
 
 def build_heff(params):
@@ -210,8 +208,8 @@ def build_heff(params):
     p = params
     size = dim_bec(p.n)
     nvals = rung_values(p.n)
-    sx = build_sx(p.n).entries
-    sy = build_sy(p.n).entries
+    sx = build_sx(p.n)
+    sy = build_sy(p.n)
     eye_bec = np.eye(size)
     eye_imp = np.eye(2)
 
@@ -219,7 +217,7 @@ def build_heff(params):
     h -= np.cos(p.phi) * np.kron(eye_imp, sx)
     h -= np.sin(p.phi) * np.kron(SIGMA_Z, sy)
     h -= 0.5 * p.n * p.xi * np.kron(SIGMA_X, eye_bec)
-    return Operator(h, kind="hermitian")
+    return h
 
 
 def spectrum(floquet_op, tau):
@@ -231,7 +229,7 @@ def spectrum(floquet_op, tau):
     transform blow up; that condition is reported rather than folded
     silently.
     """
-    u = floquet_op.entries if isinstance(floquet_op, Operator) else np.asarray(floquet_op)
+    u = np.asarray(floquet_op)
     if tau <= 0:
         raise ValueError(f"kick interval tau must be > 0, got {tau}")
     eye = np.eye(u.shape[0])
@@ -250,7 +248,7 @@ def spectrum(floquet_op, tau):
         )
     eps = -2.0 * np.arctan(tangents) / tau
     order = np.argsort(eps, kind="stable")
-    return Spectrum(quasienergies=eps[order], states=vectors[:, order], tau=tau)
+    return Spectrum(quasienergies=eps[order], states=vectors[:, order])
 
 
 def ground_state(spec):
@@ -271,7 +269,7 @@ def ground_state(spec):
     state = vectors[:, 0]
     if eps.size > 1 and eps[1] - eps[0] <= DEGENERACY_TOL:
         n_bosons = vectors.shape[0] // 2 - 1
-        pi_matrix = parity_operator(n_bosons).entries
+        pi_matrix = parity_operator(n_bosons)
         doublet = vectors[:, :2]
         overlap = doublet.conj().T @ (pi_matrix @ doublet)
         signs, basis = np.linalg.eigh(overlap)

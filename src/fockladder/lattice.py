@@ -11,30 +11,18 @@ the linear index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "FockIndex",
-    "Operator",
     "SIGMA_X",
     "SIGMA_Z",
-    "HERMITIAN_TOL",
-    "UNITARY_TOL",
     "dim_bec",
-    "dim_total",
     "rung_values",
     "build_sz",
-    "build_splus",
     "build_sx",
     "build_sy",
-    "embed",
     "parity_operator",
 ]
-
-HERMITIAN_TOL = 1e-12
-UNITARY_TOL = 1e-10
 
 # Impurity Pauli matrices in the leg basis, ordered (m = -1, m = +1).
 # The left leg therefore carries sigma_z eigenvalue -1.
@@ -57,83 +45,10 @@ def dim_bec(n_bosons):
     return _check_boson_number(n_bosons) + 1
 
 
-def dim_total(n_bosons):
-    """Dimension 2(N + 1) of the full ladder."""
-    return 2 * dim_bec(n_bosons)
-
-
 def rung_values(n_bosons):
     """Rung labels n = -N/2 .. N/2 in linear-index order."""
     half = _check_boson_number(n_bosons) // 2
     return np.arange(-half, half + 1, dtype=float)
-
-
-@dataclass(frozen=True)
-class FockIndex:
-    """One ladder site: rung n (half the population difference) and leg m."""
-
-    n: int
-    m: int
-
-    def __post_init__(self):
-        if self.m not in (-1, 1):
-            raise ValueError(f"leg index must be -1 or +1, got {self.m}")
-
-    def linear(self, n_bosons):
-        """Position in the composite basis, leg-major then rung-ascending."""
-        half = _check_boson_number(n_bosons) // 2
-        if not -half <= self.n <= half:
-            raise ValueError(f"rung {self.n} outside [-{half}, {half}]")
-        leg_offset = 0 if self.m == -1 else 1
-        return leg_offset * (n_bosons + 1) + (self.n + half)
-
-    @classmethod
-    def from_linear(cls, n_bosons, index):
-        """Inverse of :meth:`linear`."""
-        size = dim_total(n_bosons)
-        if not 0 <= index < size:
-            raise ValueError(f"linear index {index} outside [0, {size})")
-        block = n_bosons + 1
-        leg_offset, rung_offset = divmod(int(index), block)
-        return cls(n=rung_offset - n_bosons // 2, m=-1 if leg_offset == 0 else 1)
-
-
-@dataclass(frozen=True)
-class Operator:
-    """Dense matrix with a declared symmetry class.
-
-    kind is one of "hermitian", "unitary" or "general"; verify() checks
-    the declared property and raises ValueError when it fails.
-    """
-
-    entries: np.ndarray
-    kind: str = "general"
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError(f"operator must be square, got shape {entries.shape}")
-        if self.kind not in ("hermitian", "unitary", "general"):
-            raise ValueError(f"unknown operator kind {self.kind!r}")
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def dim(self):
-        return self.entries.shape[0]
-
-    def verify(self):
-        """Check the declared symmetry class; return self on success."""
-        a = self.entries
-        if self.kind == "hermitian":
-            drift = np.abs(a - a.conj().T).max()
-            if drift > HERMITIAN_TOL:
-                raise ValueError(f"hermiticity drift {drift:.3e} exceeds {HERMITIAN_TOL}")
-        elif self.kind == "unitary":
-            drift = np.abs(a.conj().T @ a - np.eye(self.dim)).max()
-            if drift > UNITARY_TOL:
-                raise ValueError(f"unitarity drift {drift:.3e} exceeds {UNITARY_TOL}")
-        return self
 
 
 def _splus_couplings(n_bosons):
@@ -145,47 +60,19 @@ def _splus_couplings(n_bosons):
 
 def build_sz(n_bosons):
     """S_z, diagonal with entries n ascending."""
-    return Operator(np.diag(rung_values(n_bosons)).astype(complex), kind="hermitian")
-
-
-def build_splus(n_bosons):
-    """Raising operator S_+ on the condensate block."""
-    return Operator(np.diag(_splus_couplings(n_bosons), -1).astype(complex))
+    return np.diag(rung_values(n_bosons)).astype(complex)
 
 
 def build_sx(n_bosons):
     """S_x = (S_+ + S_-)/2, real symmetric tridiagonal."""
     c = _splus_couplings(n_bosons) / 2.0
-    return Operator((np.diag(c, -1) + np.diag(c, 1)).astype(complex), kind="hermitian")
+    return (np.diag(c, -1) + np.diag(c, 1)).astype(complex)
 
 
 def build_sy(n_bosons):
     """S_y = (S_+ - S_-)/(2i)."""
     c = _splus_couplings(n_bosons) / 2.0
-    return Operator(np.diag(-1j * c, -1) + np.diag(1j * c, 1), kind="hermitian")
-
-
-def embed(bec_op, imp_op):
-    """Tensor product with the impurity index outermost.
-
-    Accepts a condensate-block operator of dimension N + 1 and an
-    impurity operator of dimension 2; the composite acts on the
-    2(N + 1)-dimensional ladder and matches FockIndex linearization.
-    """
-    bec = bec_op.entries if isinstance(bec_op, Operator) else np.asarray(bec_op)
-    imp = imp_op.entries if isinstance(imp_op, Operator) else np.asarray(imp_op)
-    if imp.shape != (2, 2):
-        raise ValueError(f"impurity factor must be 2x2, got {imp.shape}")
-    if bec.ndim != 2 or bec.shape[0] != bec.shape[1]:
-        raise ValueError(f"condensate factor must be square, got {bec.shape}")
-
-    def _kind(op):
-        return op.kind if isinstance(op, Operator) else "general"
-
-    kind = "general"
-    if _kind(bec_op) == _kind(imp_op) != "general":
-        kind = _kind(bec_op)
-    return Operator(np.kron(imp, bec), kind=kind)
+    return np.diag(-1j * c, -1) + np.diag(1j * c, 1)
 
 
 def parity_operator(n_bosons):
@@ -196,4 +83,4 @@ def parity_operator(n_bosons):
     degenerate in the large-N limit.
     """
     reversal = np.eye(dim_bec(n_bosons))[::-1]
-    return Operator(np.kron(SIGMA_X, reversal).astype(complex), kind="hermitian")
+    return np.kron(SIGMA_X, reversal).astype(complex)

@@ -20,16 +20,11 @@ phi in [0, pi/2], the domain where the transition lives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import xlogy
 
 __all__ = [
-    "BandPoint",
-    "MeanfieldState",
     "band_energy",
-    "band_point",
     "bloch_block",
     "mixing_angle",
     "meanfield_state",
@@ -39,39 +34,6 @@ __all__ = [
     "mu_critical",
     "entropy_analytic",
 ]
-
-
-@dataclass(frozen=True)
-class BandPoint:
-    """Lower and upper band energies at one relative phase theta."""
-
-    theta: float
-    e_lower: float
-    e_upper: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.e_lower) and np.isfinite(self.e_upper)):
-            raise ValueError("band energies must be finite")
-        if self.e_lower > self.e_upper:
-            raise ValueError("lower band above upper band")
-
-
-@dataclass(frozen=True)
-class MeanfieldState:
-    """Impurity spinor of the lower band at one theta.
-
-    (amp_left, amp_right) = (cos(alpha/2), sin(alpha/2)) diagonalizes
-    the 2x2 leg block; amplitudes are real and normalized.
-    """
-
-    alpha_theta: float
-    amp_left: float
-    amp_right: float
-
-    def __post_init__(self):
-        norm = self.amp_left**2 + self.amp_right**2
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"spinor norm {norm} != 1")
 
 
 def band_energy(theta, phi, xi, n_bosons, band="lower"):
@@ -87,15 +49,6 @@ def band_energy(theta, phi, xi, n_bosons, band="lower"):
     sign = 1.0 if band == "lower" else -1.0
     out = -(n_bosons / 2.0) * (np.cos(theta) * np.cos(phi) + sign * root)
     return out if out.ndim else float(out)
-
-
-def band_point(theta, phi, xi, n_bosons):
-    """Both bands at one theta, packed as a BandPoint."""
-    return BandPoint(
-        theta=float(theta),
-        e_lower=band_energy(theta, phi, xi, n_bosons, "lower"),
-        e_upper=band_energy(theta, phi, xi, n_bosons, "upper"),
-    )
 
 
 def bloch_block(theta, phi, xi, n_bosons):
@@ -121,13 +74,12 @@ def mixing_angle(theta, phi, xi):
 
 
 def meanfield_state(theta, phi, xi):
-    """Lower-band impurity spinor at one theta."""
+    """Lower-band impurity spinor (cos(alpha/2), sin(alpha/2)) at one theta.
+
+    Real and normalized; (left, right) amplitudes in the leg basis.
+    """
     alpha = mixing_angle(theta, phi, xi)
-    return MeanfieldState(
-        alpha_theta=alpha,
-        amp_left=float(np.cos(alpha / 2.0)),
-        amp_right=float(np.sin(alpha / 2.0)),
-    )
+    return np.array([np.cos(alpha / 2.0), np.sin(alpha / 2.0)])
 
 
 def critical_flux(xi):

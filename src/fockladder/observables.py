@@ -17,13 +17,10 @@ from scipy.special import xlogy
 from .lattice import _check_boson_number, _splus_couplings, rung_values
 
 __all__ = [
-    "PhaseGrid",
-    "LegField",
     "FockMap",
     "PHASE_MASK_THRESHOLD",
     "phase_grid",
     "phase_energy_density",
-    "phase_density_profile",
     "fock_density_phase",
     "chiral_current_numeric",
     "chiral_current_normalized",
@@ -35,38 +32,16 @@ __all__ = [
 PHASE_MASK_THRESHOLD = 1e-14
 
 
-@dataclass(frozen=True)
-class PhaseGrid:
-    """The N + 1 phases -pi + 2 pi k / (N + 1) of the discrete Brillouin zone."""
-
-    thetas: np.ndarray
-
-    def __post_init__(self):
-        thetas = np.asarray(self.thetas, dtype=float)
-        thetas.setflags(write=False)
-        object.__setattr__(self, "thetas", thetas)
-
-
 def phase_grid(n_bosons):
-    """Brillouin-zone grid matching the rung count; spacing exactly 2 pi/(N+1)."""
+    """The N + 1 phases -pi + 2 pi k / (N + 1) of the discrete Brillouin zone.
+
+    Spacing is exactly 2 pi/(N+1), matching the rung count; the array
+    is read-only.
+    """
     size = _check_boson_number(n_bosons) + 1
-    return PhaseGrid(thetas=-np.pi + 2.0 * np.pi * np.arange(size) / size)
-
-
-@dataclass(frozen=True)
-class LegField:
-    """Per-leg complex amplitudes psi_m(n) of a normalized state."""
-
-    left: np.ndarray
-    right: np.ndarray
-
-    @classmethod
-    def from_state(cls, state):
-        left, right = _split_legs(state)
-        return cls(left=left, right=right)
-
-    def norm_squared(self):
-        return float(np.sum(np.abs(self.left) ** 2) + np.sum(np.abs(self.right) ** 2))
+    thetas = -np.pi + 2.0 * np.pi * np.arange(size) / size
+    thetas.setflags(write=False)
+    return thetas
 
 
 @dataclass(frozen=True)
@@ -112,12 +87,6 @@ def phase_energy_density(state, m, theta):
     weights = np.exp(1j * np.multiply.outer(theta, nvals)) @ amps
     out = np.abs(weights) ** 2
     return out if out.ndim else float(out)
-
-
-def phase_density_profile(state, grid):
-    """Total phase density P(theta) = sum_m P_m(theta) on a PhaseGrid."""
-    thetas = grid.thetas if isinstance(grid, PhaseGrid) else np.asarray(grid)
-    return phase_energy_density(state, -1, thetas) + phase_energy_density(state, 1, thetas)
 
 
 def fock_density_phase(state):

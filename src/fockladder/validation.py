@@ -32,9 +32,9 @@ def _result(name, passed, detail):
 def _check_spin_algebra():
     worst = 0.0
     for n in (2, 20, 100):
-        sx = lattice.build_sx(n).entries
-        sy = lattice.build_sy(n).entries
-        sz = lattice.build_sz(n).entries
+        sx = lattice.build_sx(n)
+        sy = lattice.build_sy(n)
+        sz = lattice.build_sz(n)
         s = n / 2.0
         eye = np.eye(n + 1)
         worst = max(
@@ -58,7 +58,7 @@ def _check_unitarity():
         floquet.SystemParams(n=100, mu=5.0, xi=0.5, phi=0.7),
         floquet.SystemParams(n=100, mu=0.0, xi=0.5, phi=0.3),
     ):
-        u = floquet.build_floquet(params).entries
+        u = floquet.build_floquet(params)
         worst = max(worst, np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
     return _result(
         "floquet-unitarity", worst <= 1e-10, f"max |U*U - I| = {worst:.2e} (tol 1e-10)"
@@ -71,7 +71,7 @@ def _check_hermiticity():
         floquet.SystemParams(n=20, mu=0.5, xi=0.5, phi=1.0),
         floquet.SystemParams(n=100, mu=-0.4, xi=0.5, phi=0.6),
     ):
-        h = floquet.build_heff(params).entries
+        h = floquet.build_heff(params)
         worst = max(worst, np.abs(h - h.conj().T).max())
     return _result(
         "heff-hermiticity", worst <= 1e-12, f"max |H - H*| = {worst:.2e} (tol 1e-12)"
@@ -84,9 +84,9 @@ def _check_parity():
         floquet.SystemParams(n=20, mu=-0.3, xi=0.5, phi=1.2),
         floquet.SystemParams(n=40, mu=0.5, xi=0.5, phi=1.0),
     ):
-        pi_matrix = lattice.parity_operator(params.n).entries
-        u = floquet.build_floquet(params).entries
-        h = floquet.build_heff(params).entries
+        pi_matrix = lattice.parity_operator(params.n)
+        u = floquet.build_floquet(params)
+        h = floquet.build_heff(params)
         worst = max(
             worst,
             np.abs(u @ pi_matrix - pi_matrix @ u).max(),
@@ -102,7 +102,7 @@ def _check_parity():
 
 def _check_spectrum_contract():
     params = floquet.SystemParams(n=100, mu=0.0, xi=0.5, phi=1.0)
-    u = floquet.build_floquet(params).entries
+    u = floquet.build_floquet(params)
     spec = floquet.spectrum(u, params.tau)
     eps, vectors = spec.quasienergies, spec.states
     residual = np.abs(u @ vectors - vectors * np.exp(-1j * eps * params.tau)).max()
@@ -120,7 +120,7 @@ def _check_spectrum_contract():
 
 def _check_two_route_spectrum():
     params = floquet.SystemParams(n=20, mu=0.5, xi=0.5, phi=1.0)
-    h = floquet.build_heff(params).entries
+    h = floquet.build_heff(params)
     energies = np.linalg.eigvalsh(h)
     w, v = np.linalg.eigh(h)
     u = (v * np.exp(-1j * params.tau * w)) @ v.conj().T
@@ -141,7 +141,7 @@ def _check_route_fidelity():
     for tau in (base.tau, base.tau / 2.0):
         params = floquet.SystemParams(n=base.n, mu=base.mu, xi=base.xi, phi=base.phi, tau=tau)
         _, numeric = floquet.solve_ground(params)
-        _, exact = np.linalg.eigh(floquet.build_heff(params).entries)
+        _, exact = np.linalg.eigh(floquet.build_heff(params))
         infidelities.append(1.0 - np.abs(np.vdot(numeric, exact[:, 0])) ** 2)
     ratio = infidelities[0] / infidelities[1]
     ok = infidelities[0] <= 1e-4 and 3.0 <= ratio <= 5.0
@@ -165,7 +165,7 @@ def _check_parity_sector_route():
             floquet.spectrum(floquet.build_floquet(params), params.tau)
         )
         eps, state = floquet.solve_ground(params)
-        pi_matrix = lattice.parity_operator(params.n).entries
+        pi_matrix = lattice.parity_operator(params.n)
         worst_eps = max(worst_eps, abs(eps - full_eps) / max(1.0, abs(full_eps)))
         worst_jc = max(
             worst_jc,
@@ -189,13 +189,13 @@ def _check_parity_sector_route():
 def _check_parseval():
     params = floquet.SystemParams(n=60, mu=0.0, xi=0.5, phi=1.0)
     spec = floquet.spectrum(floquet.build_floquet(params), params.tau)
-    grid = observables.phase_grid(params.n)
+    thetas = observables.phase_grid(params.n)
     size = params.n + 1
     worst = 0.0
     for i in range(spec.states.shape[1]):
         state = spec.states[:, i]
         for m_index, m in enumerate((-1, 1)):
-            total = observables.phase_energy_density(state, m, grid.thetas).sum() / size
+            total = observables.phase_energy_density(state, m, thetas).sum() / size
             leg_norm = np.sum(np.abs(state[m_index * size:(m_index + 1) * size]) ** 2)
             worst = max(worst, abs(total - leg_norm))
     return _result(
@@ -272,9 +272,8 @@ def _check_meanfield_spinor():
     worst = 0.0
     for theta in np.linspace(-np.pi, np.pi, 41):
         for phi, xi in ((0.3, 0.5), (1.0, 0.5), (1.2, 1.5)):
-            state = meanfield.meanfield_state(theta, phi, xi)
+            vec = meanfield.meanfield_state(theta, phi, xi)
             block = meanfield.bloch_block(theta, phi, xi, 2)
-            vec = np.array([state.amp_left, state.amp_right])
             energy = meanfield.band_energy(theta, phi, xi, 2, "lower")
             worst = max(worst, np.abs(block @ vec - energy * vec).max())
     return _result(

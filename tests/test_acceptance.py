@@ -89,7 +89,7 @@ def test_criterion_4_transition_coincidence(capsys):
     # tau = 0.0025 keeps the kicked evolution within O(tau^2) of its
     # generator; at tau = 0.01 that systematic alone is ~2.4e-3 and
     # would dominate the extrapolated intercept.
-    fit = finite_size_extrapolation(ns=(20, 40, 60, 80, 100), xi=XI, tau=0.0025)
+    fit, _ = finite_size_extrapolation(ns=(20, 40, 60, 80, 100), xi=XI, tau=0.0025)
     passed = abs(fit.intercept) <= 1e-3 and fit.slope > 0.0
     detail = (
         f"|mu_max - mu_c| extrapolates to {fit.intercept:.2e} at 1/N=0 "
@@ -121,8 +121,8 @@ def test_criterion_6_generator_convergence(capsys):
 
     def defect(tau):
         params = SystemParams(n=20, mu=0.5, xi=XI, phi=1.0, tau=tau)
-        u = build_floquet(params).entries
-        h = build_heff(params).entries
+        u = build_floquet(params)
+        h = build_heff(params)
         return np.linalg.norm(u - expm(-1j * tau * h), 2)
 
     ratio = defect(0.01) / defect(0.005)

@@ -15,7 +15,8 @@ from fockladder.cli import (
     parse_args,
     run,
 )
-from fockladder.experiments import THREADS_ENV_VAR
+from fockladder.experiments import THREADS_ENV_VAR, finite_size_extrapolation
+from fockladder.meanfield import mu_critical
 
 
 def usage_exit(argv):
@@ -112,6 +113,8 @@ class TestRunGround:
         assert meta["result"]["jc_numeric"] == pytest.approx(
             meta["result"]["jc_analytic"], rel=0.35
         )
+        # phi = 0.5 lies below phi_c: the Meissner ground state is separable.
+        assert meta["result"]["entropy_analytic"] == 0.0
         assert "quasienergy" in meta["result"]
         assert capsys.readouterr().out.startswith("ground:")
 
@@ -131,12 +134,15 @@ class TestRunGround:
         assert total == pytest.approx(1.0, abs=5e-16)
 
     def test_out_of_domain_flux_leaves_analytic_null(self, tmp_path):
-        out = tmp_path / "g.csv"
-        config = parse_args(["ground", "--n", "8", "--phi", "2.5", "--out", str(out)])
-        assert run(config) == 0
-        meta = json.loads((tmp_path / "g.csv.meta.json").read_text())
-        assert meta["result"]["jc_analytic"] is None
-        assert meta["result"]["entropy_analytic"] is None
+        # Outside [0, pi/2] neither closed form applies; at phi = 0 the
+        # current's does (0.0) but the entropy formula is singular.
+        for phi, jc_analytic in (("2.5", None), ("-0.4", None), ("0", 0.0)):
+            out = tmp_path / "g.csv"
+            config = parse_args(["ground", "--n", "8", "--phi", phi, "--out", str(out)])
+            assert run(config) == 0
+            meta = json.loads((tmp_path / "g.csv.meta.json").read_text())
+            assert meta["result"]["jc_analytic"] == jc_analytic
+            assert meta["result"]["entropy_analytic"] is None
 
 
 class TestRunScans:
@@ -209,6 +215,16 @@ class TestRunScans:
         rows = list(csv.reader(out.read_text().splitlines()))
         assert len(rows) == 4
         assert [int(r[0]) for r in rows[1:]] == [8, 12, 16]
+        # The CLI rows are the library pipeline's per-size results, bit for bit.
+        fit, mu_maxes = finite_size_extrapolation(
+            ns=(8, 12, 16), xi=config.xi, tau=config.tau,
+            mu_grid=np.linspace(config.mu_min, config.mu_max, config.mu_points),
+            phi_grid=np.linspace(config.phi_min, config.phi_max, config.phi_points))
+        target = mu_critical(config.xi)
+        assert [float(r[2]) for r in rows[1:]] == list(mu_maxes)
+        assert [float(r[3]) for r in rows[1:]] == [abs(m - target) for m in mu_maxes]
+        assert meta["result"]["intercept"] == fit.intercept
+        assert meta["result"]["slope"] == fit.slope
 
 
 class TestRunErrors:

@@ -3,20 +3,21 @@ import pytest
 
 from fockladder.experiments import (
     THREADS_ENV_VAR,
+    analytic_pair,
     band_panels,
     default_fluxes,
     entropy_scan,
     find_mu_max,
     finite_size_extrapolation,
     fit_inverse_size,
-    ground_record,
     interaction_scan,
     scan_flux,
     scan_threads,
 )
 from fockladder import experiments
-from fockladder.floquet import BranchAmbiguityError, SystemParams
+from fockladder.floquet import BranchAmbiguityError, SystemParams, solve_ground
 from fockladder.meanfield import critical_flux
+from fockladder.observables import chiral_current_normalized, entanglement_entropy_numeric
 
 XI = 0.5
 
@@ -70,21 +71,20 @@ class TestScanFlux:
 
 
 class TestGroundRecord:
+    # The numeric/analytic pair the `ground` command records at one point.
     def test_pairs_numeric_with_analytic(self):
-        record = ground_record(SystemParams(n=20, mu=0.0, xi=XI, phi=0.4))
-        assert record.jc_numeric == pytest.approx(record.jc_analytic, rel=0.15)
-        assert record.entropy_numeric is not None
-        assert record.entropy_analytic == 0.0
+        _, state = solve_ground(SystemParams(n=20, mu=0.0, xi=XI, phi=0.4))
+        jc_analytic, entropy_analytic = analytic_pair(0.4, XI)
+        assert chiral_current_normalized(state, 0.4) == pytest.approx(jc_analytic, rel=0.15)
+        assert entanglement_entropy_numeric(state) is not None
+        assert entropy_analytic == 0.0
 
     def test_analytic_fields_none_outside_domain(self):
-        record = ground_record(SystemParams(n=8, mu=0.0, xi=XI, phi=-0.4))
-        assert record.jc_analytic is None
-        assert record.entropy_analytic is None
+        assert analytic_pair(-0.4, XI) == (None, None)
+        assert analytic_pair(2.5, XI) == (None, None)
 
     def test_entropy_analytic_none_at_zero_flux(self):
-        record = ground_record(SystemParams(n=8, mu=0.0, xi=XI, phi=0.0))
-        assert record.jc_analytic == 0.0
-        assert record.entropy_analytic is None
+        assert analytic_pair(0.0, XI) == (0.0, None)
 
 
 class TestEntropyScan:

@@ -2,17 +2,10 @@ import numpy as np
 import pytest
 
 from fockladder.lattice import (
-    SIGMA_X,
-    SIGMA_Z,
-    FockIndex,
-    Operator,
-    build_splus,
     build_sx,
     build_sy,
     build_sz,
     dim_bec,
-    dim_total,
-    embed,
     parity_operator,
     rung_values,
 )
@@ -22,10 +15,14 @@ def commutator(a, b):
     return a @ b - b @ a
 
 
+def site(n_bosons, n, m):
+    # Linear index of rung n on leg m: leg-major, rung-ascending.
+    return (m == 1) * (n_bosons + 1) + n + n_bosons // 2
+
+
 class TestDimensions:
     def test_sizes(self):
         assert dim_bec(4) == 5
-        assert dim_total(4) == 10
 
     def test_rung_values(self):
         np.testing.assert_array_equal(rung_values(4), [-2, -1, 0, 1, 2])
@@ -40,76 +37,17 @@ class TestDimensions:
             dim_bec(4.0)
 
 
-class TestFockIndex:
-    def test_linear_roundtrip(self):
-        n_bosons = 4
-        seen = []
-        for m in (-1, 1):
-            for n in range(-2, 3):
-                idx = FockIndex(n=n, m=m)
-                lin = idx.linear(n_bosons)
-                seen.append(lin)
-                assert FockIndex.from_linear(n_bosons, lin) == idx
-        assert sorted(seen) == list(range(dim_total(n_bosons)))
-
-    def test_left_leg_occupies_first_block(self):
-        assert FockIndex(n=-2, m=-1).linear(4) == 0
-        assert FockIndex(n=2, m=-1).linear(4) == 4
-        assert FockIndex(n=-2, m=1).linear(4) == 5
-
-    def test_rejects_bad_leg(self):
-        with pytest.raises(ValueError, match="leg index"):
-            FockIndex(n=0, m=0)
-
-    def test_rejects_out_of_range_rung(self):
-        with pytest.raises(ValueError, match="rung"):
-            FockIndex(n=3, m=1).linear(4)
-
-    def test_rejects_out_of_range_linear(self):
-        with pytest.raises(ValueError, match="linear index"):
-            FockIndex.from_linear(4, 10)
-
-
-class TestOperator:
-    def test_entries_read_only(self):
-        op = build_sz(4)
-        with pytest.raises(ValueError):
-            op.entries[0, 0] = 9.0
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            Operator(np.zeros((2, 3)))
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            Operator(np.eye(2), kind="normal")
-
-    def test_verify_catches_hermiticity_drift(self):
-        bad = Operator(np.array([[0.0, 1e-6], [0.0, 0.0]]), kind="hermitian")
-        with pytest.raises(ValueError, match="hermiticity drift"):
-            bad.verify()
-
-    def test_verify_catches_unitarity_drift(self):
-        bad = Operator(1.001 * np.eye(3), kind="unitary")
-        with pytest.raises(ValueError, match="unitarity drift"):
-            bad.verify()
-
-    def test_verify_passes_and_chains(self):
-        op = build_sx(6)
-        assert op.verify() is op
-
-
 class TestSpinOperators:
     def test_splus_matrix_elements_n2(self):
         # S = 1: <n+1|S+|n> = sqrt(2 - n(n+1)) = sqrt(2) for n = -1, 0.
-        sp = build_splus(2).entries
+        sp = build_sx(2) + 1j * build_sy(2)
         expected = np.zeros((3, 3))
         expected[1, 0] = expected[2, 1] = np.sqrt(2.0)
         np.testing.assert_allclose(sp, expected, atol=1e-15)
 
     def test_splus_raises_rung_index(self):
         n_bosons = 6
-        sp = build_splus(n_bosons).entries
+        sp = build_sx(n_bosons) + 1j * build_sy(n_bosons)
         basis = np.zeros(dim_bec(n_bosons))
         basis[2] = 1.0
         raised = sp @ basis
@@ -117,18 +55,18 @@ class TestSpinOperators:
 
     @pytest.mark.parametrize("n_bosons", [2, 6, 20])
     def test_su2_algebra(self, n_bosons):
-        sx = build_sx(n_bosons).entries
-        sy = build_sy(n_bosons).entries
-        sz = build_sz(n_bosons).entries
+        sx = build_sx(n_bosons)
+        sy = build_sy(n_bosons)
+        sz = build_sz(n_bosons)
         np.testing.assert_allclose(commutator(sx, sy), 1j * sz, atol=1e-12)
         np.testing.assert_allclose(commutator(sy, sz), 1j * sx, atol=1e-12)
         np.testing.assert_allclose(commutator(sz, sx), 1j * sy, atol=1e-12)
 
     @pytest.mark.parametrize("n_bosons", [2, 6, 20])
     def test_casimir(self, n_bosons):
-        sx = build_sx(n_bosons).entries
-        sy = build_sy(n_bosons).entries
-        sz = build_sz(n_bosons).entries
+        sx = build_sx(n_bosons)
+        sy = build_sy(n_bosons)
+        sz = build_sz(n_bosons)
         s = n_bosons / 2.0
         casimir = sx @ sx + sy @ sy + sz @ sz
         np.testing.assert_allclose(
@@ -136,51 +74,23 @@ class TestSpinOperators:
         )
 
     def test_hermitian_kinds(self):
-        assert build_sx(4).kind == "hermitian"
-        assert build_sy(4).kind == "hermitian"
-        assert build_sz(4).kind == "hermitian"
-        assert build_splus(4).kind == "general"
-
-
-class TestEmbed:
-    def test_matches_fock_index_convention(self):
-        # sigma_z x S_z must be diagonal with entry m * n at each site.
-        n_bosons = 4
-        composite = embed(build_sz(n_bosons), SIGMA_Z).entries
-        for m in (-1, 1):
-            for n in range(-2, 3):
-                k = FockIndex(n=n, m=m).linear(n_bosons)
-                assert composite[k, k] == pytest.approx(m * n)
-
-    def test_impurity_index_is_outermost(self):
-        bec = np.diag([1.0, 2.0, 3.0])
-        imp = np.diag([10.0, 20.0])
-        full = embed(bec, imp).entries
-        np.testing.assert_allclose(np.diag(full), [10, 20, 30, 20, 40, 60])
-
-    def test_kind_propagation(self):
-        assert embed(build_sx(4), SIGMA_X_OP).kind == "hermitian"
-        assert embed(build_splus(4), SIGMA_X_OP).kind == "general"
-
-    def test_rejects_wrong_impurity_shape(self):
-        with pytest.raises(ValueError, match="2x2"):
-            embed(np.eye(3), np.eye(3))
-
-
-SIGMA_X_OP = Operator(SIGMA_X, kind="hermitian")
+        for op in (build_sx(4), build_sy(4), build_sz(4)):
+            assert np.abs(op - op.conj().T).max() <= 1e-12
+        sp = build_sx(4) + 1j * build_sy(4)
+        assert np.abs(sp - sp.conj().T).max() > 1.0
 
 
 class TestParity:
     def test_squares_to_identity(self):
-        pi_op = parity_operator(6).entries
+        pi_op = parity_operator(6)
         np.testing.assert_allclose(pi_op @ pi_op, np.eye(14), atol=1e-15)
 
     def test_flips_rung_and_leg(self):
         n_bosons = 4
-        pi_op = parity_operator(n_bosons).entries
-        source = FockIndex(n=1, m=-1).linear(n_bosons)
-        target = FockIndex(n=-1, m=1).linear(n_bosons)
-        basis = np.zeros(dim_total(n_bosons))
+        pi_op = parity_operator(n_bosons)
+        source = site(n_bosons, n=1, m=-1)
+        target = site(n_bosons, n=-1, m=1)
+        basis = np.zeros(2 * dim_bec(n_bosons))
         basis[source] = 1.0
         image = pi_op @ basis
         assert image[target] == pytest.approx(1.0)

@@ -5,9 +5,7 @@ import pytest
 from scipy.special import xlogy
 
 from fockladder.meanfield import (
-    BandPoint,
     band_energy,
-    band_point,
     bloch_block,
     chiral_current_analytic,
     critical_flux,
@@ -73,14 +71,6 @@ class TestBands:
         assert curve.shape == thetas.shape
         assert curve[3] == band_energy(0.0, 0.5, XI, 20)
 
-    def test_band_point_orders_bands(self):
-        point = band_point(0.4, 1.0, XI, 20)
-        assert point.e_lower <= point.e_upper
-
-    def test_band_point_rejects_inverted_bands(self):
-        with pytest.raises(ValueError):
-            BandPoint(theta=0.0, e_lower=1.0, e_upper=-1.0)
-
     def test_rejects_unknown_band(self):
         with pytest.raises(ValueError, match="band"):
             band_energy(0.0, 0.5, XI, 20, "middle")
@@ -92,15 +82,15 @@ class TestSpinor:
 
     def test_spinor_diagonalizes_block(self):
         for theta, phi in ((-0.8, 1.2), (0.3, 0.7), (1.1, 1.5)):
-            state = meanfield_state(theta, phi, XI)
-            vec = np.array([state.amp_left, state.amp_right])
+            vec = meanfield_state(theta, phi, XI)
             block = bloch_block(theta, phi, XI, 2)
             lower = band_energy(theta, phi, XI, 2, "lower")
             np.testing.assert_allclose(block @ vec, lower * vec, atol=1e-12)
 
     def test_normalized(self):
-        state = meanfield_state(0.4, 0.9, XI)
-        assert state.amp_left**2 + state.amp_right**2 == pytest.approx(1.0, abs=1e-14)
+        vec = meanfield_state(0.4, 0.9, XI)
+        assert vec.shape == (2,)
+        assert vec @ vec == pytest.approx(1.0, abs=1e-14)
 
     def test_rejects_decoupled_legs(self):
         with pytest.raises(ValueError, match="decoupled legs"):
@@ -197,8 +187,7 @@ class TestEntropyAnalytic:
         phi = 1.2
         rho = np.zeros((2, 2))
         for t in theta0(phi, XI):
-            state = meanfield_state(t, phi, XI)
-            vec = np.array([state.amp_left, state.amp_right])
+            vec = meanfield_state(t, phi, XI)
             rho += 0.5 * np.outer(vec, vec)
         weights = np.linalg.eigvalsh(rho)
         expected = float(-np.sum(xlogy(weights, weights)))

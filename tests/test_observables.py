@@ -2,14 +2,11 @@ import numpy as np
 import pytest
 
 from fockladder.floquet import SystemParams, build_floquet, ground_state, spectrum
-from fockladder.lattice import FockIndex, dim_total
 from fockladder.observables import (
-    LegField,
     chiral_current_normalized,
     chiral_current_numeric,
     entanglement_entropy_numeric,
     fock_density_phase,
-    phase_density_profile,
     phase_energy_density,
     phase_grid,
     rung_second_moment,
@@ -17,14 +14,15 @@ from fockladder.observables import (
 
 
 def basis_state(n_bosons, n, m):
-    state = np.zeros(dim_total(n_bosons), dtype=complex)
-    state[FockIndex(n=n, m=m).linear(n_bosons)] = 1.0
+    # Rung n on leg m sits at (m == 1)(N + 1) + n + N/2: leg-major, rung-ascending.
+    state = np.zeros(2 * (n_bosons + 1), dtype=complex)
+    state[(m == 1) * (n_bosons + 1) + n + n_bosons // 2] = 1.0
     return state
 
 
 def random_state(n_bosons, seed):
     rng = np.random.default_rng(seed)
-    size = dim_total(n_bosons)
+    size = 2 * (n_bosons + 1)
     state = rng.normal(size=size) + 1j * rng.normal(size=size)
     return state / np.linalg.norm(state)
 
@@ -36,41 +34,31 @@ def ladder_ground(params):
 
 class TestPhaseGrid:
     def test_size_and_spacing(self):
-        grid = phase_grid(10)
-        assert grid.thetas.size == 11
-        np.testing.assert_allclose(np.diff(grid.thetas), 2 * np.pi / 11, atol=1e-15)
-        assert grid.thetas[0] == pytest.approx(-np.pi)
+        thetas = phase_grid(10)
+        assert thetas.size == 11
+        np.testing.assert_allclose(np.diff(thetas), 2 * np.pi / 11, atol=1e-15)
+        assert thetas[0] == pytest.approx(-np.pi)
 
     def test_read_only(self):
-        grid = phase_grid(4)
+        thetas = phase_grid(4)
         with pytest.raises(ValueError):
-            grid.thetas[0] = 0.0
+            thetas[0] = 0.0
 
 
 class TestPhaseDensity:
     def test_parseval_per_leg(self):
         n_bosons = 12
         state = random_state(n_bosons, seed=7)
-        grid = phase_grid(n_bosons)
-        legs = LegField.from_state(state)
-        for m, amps in ((-1, legs.left), (1, legs.right)):
-            total = phase_energy_density(state, m, grid.thetas).sum() / (n_bosons + 1)
+        thetas = phase_grid(n_bosons)
+        legs = state.reshape(2, n_bosons + 1)
+        for m, amps in ((-1, legs[0]), (1, legs[1])):
+            total = phase_energy_density(state, m, thetas).sum() / (n_bosons + 1)
             assert total == pytest.approx(np.sum(np.abs(amps) ** 2), abs=1e-12)
-
-    def test_profile_sums_both_legs(self):
-        n_bosons = 8
-        state = random_state(n_bosons, seed=3)
-        grid = phase_grid(n_bosons)
-        profile = phase_density_profile(state, grid)
-        expected = phase_energy_density(state, -1, grid.thetas) + phase_energy_density(
-            state, 1, grid.thetas
-        )
-        np.testing.assert_allclose(profile, expected, atol=1e-14)
 
     def test_single_rung_state_is_flat(self):
         # A single Fock rung has no phase information: P is constant.
         state = basis_state(6, n=1, m=-1)
-        values = phase_energy_density(state, -1, phase_grid(6).thetas)
+        values = phase_energy_density(state, -1, phase_grid(6))
         np.testing.assert_allclose(values, 1.0, atol=1e-14)
         assert phase_energy_density(state, 1, 0.3) == pytest.approx(0.0, abs=1e-14)
 
