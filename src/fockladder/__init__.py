@@ -70,7 +70,6 @@ from .experiments import (
     finite_size_extrapolation,
     fit_inverse_size,
     interaction_scan,
-    refine_interaction_peak,
     scan_flux,
 )
 from .validation import CheckResult, run_invariant_suite

@@ -33,11 +33,9 @@ from .experiments import (
     analytic_pair,
     band_panels,
     entropy_scan,
+    find_mu_max,
     finite_size_extrapolation,
-    interaction_scan,
-    refine_interaction_peak,
     scan_flux,
-    scan_threads,
 )
 from .floquet import BranchAmbiguityError, SystemParams, solve_ground
 from .lattice import rung_values
@@ -367,9 +365,9 @@ def _phase_rows(phase):
 
 # ---------------------------------------------------------------- commands
 
-def _cmd_bands(config, threads):
+def _cmd_bands(config):
     panels = band_panels(config.n, config.xi, mu=config.mu, tau=config.tau,
-                         flux_list=config.fluxes, threads=threads)
+                         flux_list=config.fluxes)
     rungs = rung_values(config.n)
     header = [
         "flux [rad]", "theta [rad]", "e_lower [J]", "e_upper [J]", "rung [n]",
@@ -409,7 +407,7 @@ def _cmd_bands(config, threads):
     return header, rows, payload, result, [f"bands: {len(panels)} panels at flux {fluxes}"]
 
 
-def _cmd_ground(config, threads):
+def _cmd_ground(config):
     params = SystemParams(n=config.n, mu=config.mu, xi=config.xi,
                           phi=config.phi, tau=config.tau)
     eps0, state = solve_ground(params)
@@ -443,9 +441,9 @@ def _mu_grid(config):
     return np.linspace(config.mu_min, config.mu_max, config.mu_points)
 
 
-def _cmd_current_scan(config, threads):
+def _cmd_current_scan(config):
     records = scan_flux(config.n, config.mu, config.xi, tau=config.tau,
-                        phi_grid=_phi_grid(config), threads=threads)
+                        phi_grid=_phi_grid(config))
     header = ["phi [rad]", "jc_numeric [2J_C/(N J)]", "jc_analytic [2J_C/(N J)]"]
     rows = [[r.params.phi, r.jc_numeric, r.jc_analytic] for r in records]
     best = max(records, key=lambda r: r.jc_numeric)
@@ -459,14 +457,10 @@ def _cmd_current_scan(config, threads):
     return header, rows, None, result, [line]
 
 
-def _cmd_mu_scan(config, threads):
-    scan_rows = interaction_scan(config.n, config.xi, tau=config.tau,
-                                 mu_grid=_mu_grid(config),
-                                 phi_grid=_phi_grid(config), threads=threads)
-    mu_max, max_jc = refine_interaction_peak(scan_rows, config.n, config.xi,
-                                             tau=config.tau,
-                                             phi_grid=_phi_grid(config),
-                                             threads=threads)
+def _cmd_mu_scan(config):
+    mu_max, max_jc, scan_rows = find_mu_max(config.n, config.xi, tau=config.tau,
+                                            mu_grid=_mu_grid(config),
+                                            phi_grid=_phi_grid(config))
     header = ["mu [dimensionless]", "peak_phi [rad]", "peak_jc [2J_C/(N J)]"]
     rows = [list(row) for row in scan_rows]
     result = {
@@ -479,10 +473,10 @@ def _cmd_mu_scan(config, threads):
     return header, rows, None, result, [line]
 
 
-def _cmd_fss(config, threads):
+def _cmd_fss(config):
     fit, mu_maxes = finite_size_extrapolation(
         ns=config.ns, xi=config.xi, tau=config.tau, mu_grid=_mu_grid(config),
-        phi_grid=_phi_grid(config), threads=threads)
+        phi_grid=_phi_grid(config))
     target = mu_critical(config.xi)
     header = ["n [bosons]", "inverse_n [1/bosons]",
               "mu_max [dimensionless]", "abs_mu_diff [dimensionless]"]
@@ -499,9 +493,9 @@ def _cmd_fss(config, threads):
     return header, rows, None, result, [line]
 
 
-def _cmd_entropy_scan(config, threads):
+def _cmd_entropy_scan(config):
     records = entropy_scan(config.n, config.xi, tau=config.tau,
-                           phi_grid=_phi_grid(config), threads=threads)
+                           phi_grid=_phi_grid(config))
     header = ["phi [rad]", "entropy_numeric [nats]", "entropy_analytic [nats]"]
     rows = [[r.params.phi, r.entropy_numeric, r.entropy_analytic] for r in records]
     best = max(records, key=lambda r: r.entropy_numeric)
@@ -515,7 +509,7 @@ def _cmd_entropy_scan(config, threads):
     return header, rows, None, result, [line]
 
 
-def _cmd_validate(config, threads):
+def _cmd_validate(config):
     checks = run_invariant_suite()
     header = ["check [name]", "passed [bool]", "detail [text]"]
     rows = [[c.name, "true" if c.passed else "false", c.detail] for c in checks]
@@ -546,12 +540,6 @@ _COMMANDS = {
 
 def run(config):
     """Execute one RunConfig; returns the process exit code."""
-    try:
-        threads = scan_threads()
-    except ValueError as exc:
-        print(f"fockladder: error: {exc}", file=sys.stderr)
-        return 2
-
     out_path = config.out_path()
     directory = os.path.dirname(os.path.abspath(out_path))
     if not os.path.isdir(directory) or not os.access(directory, os.W_OK):
@@ -561,7 +549,7 @@ def run(config):
 
     start = time.perf_counter()
     try:
-        header, rows, payload, result, lines = _COMMANDS[config.command](config, threads)
+        header, rows, payload, result, lines = _COMMANDS[config.command](config)
     except (ValueError, ArithmeticError, np.linalg.LinAlgError, BranchAmbiguityError) as exc:
         print(f"fockladder: error: {exc}", file=sys.stderr)
         return 1

@@ -9,14 +9,11 @@ attraction, entropy scans and the band/density panels.
 
 Scans are deterministic: given the same grids they produce identical
 records in identical order, which is what makes rerun output
-byte-identical downstream.  The optional thread pool maps grid points
-in order and does not change any numeric result.
+byte-identical downstream.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,12 +42,9 @@ __all__ = [
     "DEFAULT_PHI_GRID",
     "DEFAULT_MU_GRID",
     "DEFAULT_NS",
-    "THREADS_ENV_VAR",
-    "scan_threads",
     "analytic_pair",
     "scan_flux",
     "interaction_scan",
-    "refine_interaction_peak",
     "find_mu_max",
     "fit_inverse_size",
     "finite_size_extrapolation",
@@ -63,8 +57,6 @@ DEFAULT_PHI_GRID = np.linspace(0.0, np.pi / 2.0, 121)
 DEFAULT_MU_GRID = np.linspace(-0.6, 0.1, 71)
 DEFAULT_NS = (20, 40, 60, 80, 100)
 
-THREADS_ENV_VAR = "FOCKLADDER_THREADS"
-
 # The flux peak of the current sharpens with N faster than any fixed
 # grid; each grid maximum is polished by this many bracketed
 # subdivision passes so the peak height fed into the interaction fit
@@ -73,30 +65,6 @@ THREADS_ENV_VAR = "FOCKLADDER_THREADS"
 PEAK_REFINE_PASSES = 6
 PEAK_REFINE_POINTS = 9
 MU_REFINE_PASSES = 4
-
-
-def scan_threads():
-    """Worker count for grid scans, capped by FOCKLADDER_THREADS (default 1)."""
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ValueError(
-            f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}"
-        )
-    return count
-
-
-def _map_ordered(fn, items, threads=None):
-    threads = scan_threads() if threads is None else threads
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -188,7 +156,7 @@ def _check_phi_grid(grid, allow_zero=True):
     return grid
 
 
-def scan_flux(n_bosons, mu, xi, tau=0.01, phi_grid=None, threads=None):
+def scan_flux(n_bosons, mu, xi, tau=0.01, phi_grid=None):
     """Chiral current versus flux, numeric against analytic.
 
     Returns one ScanRecord per grid flux, ascending.  A branch
@@ -205,19 +173,16 @@ def scan_flux(n_bosons, mu, xi, tau=0.01, phi_grid=None, threads=None):
             jc_analytic=chiral_current_analytic(params.phi, xi),
         )
 
-    return _map_ordered(point, grid, threads)
+    return [point(phi) for phi in grid]
 
 
-def _current_at(n_bosons, xi, tau):
-    def current(mu, phi):
-        params = SystemParams(n=n_bosons, mu=float(mu), xi=xi, phi=float(phi), tau=tau)
-        _, state = _solve_or_abort(params, "interaction scan aborted at mu={}, phi={}", mu, phi)
-        return chiral_current_normalized(state, params.phi)
-
-    return current
+def _current(n_bosons, mu, xi, tau, phi):
+    params = SystemParams(n=n_bosons, mu=float(mu), xi=xi, phi=float(phi), tau=tau)
+    _, state = _solve_or_abort(params, "interaction scan aborted at mu={}, phi={}", mu, phi)
+    return chiral_current_normalized(state, params.phi)
 
 
-def _subdivide_max(evaluate, start_grid, start_values, passes, threads=None):
+def _subdivide_max(evaluate, start_grid, start_values, passes):
     # Bracketed subdivision around the discrete maximum.  Keeps the
     # full one-cell bracket each pass, so nearby secondary bumps inside
     # the bracket cannot steal the maximum; deterministic throughout.
@@ -230,7 +195,7 @@ def _subdivide_max(evaluate, start_grid, start_values, passes, threads=None):
     triple = None
     for _ in range(passes):
         sub = np.linspace(lo, hi, PEAK_REFINE_POINTS)
-        sub_values = np.asarray(_map_ordered(evaluate, sub, threads))
+        sub_values = np.asarray([evaluate(x) for x in sub])
         j = int(np.argmax(sub_values))
         if sub_values[j] > best:
             best_x, best = float(sub[j]), float(sub_values[j])
@@ -241,32 +206,18 @@ def _subdivide_max(evaluate, start_grid, start_values, passes, threads=None):
     return best_x, best, triple
 
 
-def _refined_flux_peak(n_bosons, mu, xi, tau, grid, threads=None):
-    # Current at every grid flux, then bracketed subdivision around the
-    # discrete maximum; the flux peak sharpens with N beyond any fixed
-    # grid and develops a double-bump structure near the critical
-    # attraction, both of which the subdivision resolves.
-    current = _current_at(n_bosons, xi, tau)
-    values = np.asarray(_map_ordered(lambda phi: current(mu, phi), grid, threads))
-    best_phi, best, _ = _subdivide_max(
-        lambda phi: current(mu, phi), grid, values, PEAK_REFINE_PASSES, threads
-    )
+def _flux_peak(n_bosons, mu, xi, tau, grid):
+    # (phi, jc) at the flux maximum of the current: every grid flux,
+    # then bracketed subdivision around the discrete maximum; the flux
+    # peak sharpens with N beyond any fixed grid and develops a
+    # double-bump structure near the critical attraction, both of which
+    # the subdivision resolves.
+    def current(phi):
+        return _current(n_bosons, mu, xi, tau, phi)
+
+    values = [current(phi) for phi in grid]
+    best_phi, best, _ = _subdivide_max(current, grid, values, PEAK_REFINE_PASSES)
     return best_phi, best
-
-
-def _local_flux_peak(n_bosons, mu, xi, tau, center, halfwidth, threads=None):
-    # Flux peak for interaction points created by subdivision; the peak
-    # flux drifts slowly with mu, so a window around the coarse-grid
-    # peak flux is enough and much cheaper than the full grid.
-    current = _current_at(n_bosons, xi, tau)
-    lo = max(center - halfwidth, 0.0)
-    hi = min(center + halfwidth, np.pi / 2.0)
-    sub = np.linspace(lo, hi, 25)
-    values = np.asarray(_map_ordered(lambda phi: current(mu, phi), sub, threads))
-    _, best, _ = _subdivide_max(
-        lambda phi: current(mu, phi), sub, values, PEAK_REFINE_PASSES, threads
-    )
-    return best
 
 
 def _parabola_vertex(x, y, k):
@@ -281,7 +232,7 @@ def _parabola_vertex(x, y, k):
     return float(x[k] + shift), float(peak)
 
 
-def interaction_scan(n_bosons, xi, tau=0.01, mu_grid=None, phi_grid=None, threads=None):
+def interaction_scan(n_bosons, xi, tau=0.01, mu_grid=None, phi_grid=None):
     """Peak chiral current versus interaction strength.
 
     Returns a list of (mu, peak_phi, peak_jc) triples, one per grid
@@ -293,23 +244,16 @@ def interaction_scan(n_bosons, xi, tau=0.01, mu_grid=None, phi_grid=None, thread
     if np.any(np.diff(mu_values) <= 0):
         raise ValueError("interaction grid must be strictly ascending")
     grid = _check_phi_grid(DEFAULT_PHI_GRID if phi_grid is None else phi_grid)
-    rows = []
-    for mu in mu_values:
-        peak_phi, peak_jc = _refined_flux_peak(n_bosons, float(mu), xi, tau, grid, threads)
-        rows.append((float(mu), peak_phi, peak_jc))
-    return rows
+    return [(float(mu), *_flux_peak(n_bosons, float(mu), xi, tau, grid)) for mu in mu_values]
 
 
-def refine_interaction_peak(rows, n_bosons, xi, tau=0.01, phi_grid=None, threads=None):
-    """Polish the interaction maximum of an interaction_scan result.
-
-    The interaction axis is subdivided around the discrete maximum of
-    the (mu, peak_phi, peak_jc) rows (the peak narrows below the
-    default grid step once N reaches ~80, where a single wide parabola
-    would bias the answer by several grid steps) and finished with a
-    quadratic through the innermost three points.  Returns
-    (mu_max, max_jc) with the current in 2 J_C/(N J) units.
-    """
+def _refine_interaction_peak(rows, n_bosons, xi, tau, phi_grid):
+    # Polish the interaction maximum of interaction_scan rows.  The
+    # interaction axis is subdivided around the discrete maximum (the
+    # peak narrows below the default grid step once N reaches ~80,
+    # where a single wide parabola would bias the answer by several
+    # grid steps) and finished with a quadratic through the innermost
+    # three points.  Returns (mu_max, max_jc).
     mu_values = np.array([row[0] for row in rows])
     peak_phis = np.array([row[1] for row in rows])
     peaks = np.array([row[2] for row in rows])
@@ -320,19 +264,20 @@ def refine_interaction_peak(rows, n_bosons, xi, tau=0.01, phi_grid=None, threads
             "widen the mu bracket"
         )
 
-    # Window for the flux maximization at subdivided interaction
-    # points: wide enough to cover the drift of the peak flux across
-    # the bracket and any secondary bump beside it.
+    # Flux window for the subdivided interaction points: the peak flux
+    # drifts slowly with mu, so a window around the coarse-grid peak
+    # flux, wide enough to cover that drift across the bracket and any
+    # secondary bump beside it, is much cheaper than the full grid.
     flux_grid = _check_phi_grid(DEFAULT_PHI_GRID if phi_grid is None else phi_grid)
     flux_step = float(np.median(np.diff(flux_grid)))
     local = peak_phis[k - 1:k + 2]
     halfwidth = float(local.max() - local.min()) + 2.0 * flux_step
-
-    def refined_peak(mu):
-        return _local_flux_peak(n_bosons, mu, xi, tau, peak_phis[k], halfwidth, threads)
+    window = np.linspace(max(peak_phis[k] - halfwidth, 0.0),
+                         min(peak_phis[k] + halfwidth, np.pi / 2.0), 25)
 
     best_mu, best, triple = _subdivide_max(
-        refined_peak, mu_values, peaks, MU_REFINE_PASSES, threads
+        lambda mu: _flux_peak(n_bosons, mu, xi, tau, window)[1],
+        mu_values, peaks, MU_REFINE_PASSES,
     )
     if triple is None:
         return best_mu, best
@@ -340,15 +285,18 @@ def refine_interaction_peak(rows, n_bosons, xi, tau=0.01, phi_grid=None, threads
     return _parabola_vertex(sub, sub_values, 1)
 
 
-def find_mu_max(n_bosons, xi, tau=0.01, mu_grid=None, phi_grid=None, threads=None):
+def find_mu_max(n_bosons, xi, tau=0.01, mu_grid=None, phi_grid=None):
     """Interaction strength maximizing the peak chiral current.
 
-    For each mu on the grid the current is maximized over flux, then
-    the interaction maximum is polished by refine_interaction_peak.
-    Returns (mu_max, max_jc) with the current in 2 J_C/(N J) units.
+    For each mu on the grid the current is maximized over flux
+    (interaction_scan), then the interaction maximum is polished by
+    bracketed subdivision and a final parabola.  Returns
+    (mu_max, max_jc, rows): the current in 2 J_C/(N J) units and the
+    interaction_scan rows the maximum was refined from.
     """
-    rows = interaction_scan(n_bosons, xi, tau, mu_grid, phi_grid, threads)
-    return refine_interaction_peak(rows, n_bosons, xi, tau, phi_grid, threads)
+    rows = interaction_scan(n_bosons, xi, tau, mu_grid, phi_grid)
+    mu_max, max_jc = _refine_interaction_peak(rows, n_bosons, xi, tau, phi_grid)
+    return mu_max, max_jc, rows
 
 
 def fit_inverse_size(points):
@@ -373,8 +321,7 @@ def fit_inverse_size(points):
     )
 
 
-def finite_size_extrapolation(ns=DEFAULT_NS, xi=0.5, tau=0.01, mu_grid=None,
-                              phi_grid=None, threads=None):
+def finite_size_extrapolation(ns=DEFAULT_NS, xi=0.5, tau=0.01, mu_grid=None, phi_grid=None):
     """Extrapolate |mu_max(N) - mu_c| to the thermodynamic limit.
 
     Runs find_mu_max per system size and fits a least-squares line
@@ -390,13 +337,13 @@ def finite_size_extrapolation(ns=DEFAULT_NS, xi=0.5, tau=0.01, mu_grid=None,
 
     target = mu_critical(xi)
     mu_maxes = tuple(
-        find_mu_max(n_bosons, xi, tau, mu_grid, phi_grid, threads)[0] for n_bosons in sizes
+        find_mu_max(n_bosons, xi, tau, mu_grid, phi_grid)[0] for n_bosons in sizes
     )
     points = [(1.0 / n, abs(mu_max - target)) for n, mu_max in zip(sizes, mu_maxes)]
     return fit_inverse_size(points), mu_maxes
 
 
-def entropy_scan(n_bosons, xi, tau=0.01, phi_grid=None, threads=None):
+def entropy_scan(n_bosons, xi, tau=0.01, phi_grid=None):
     """Impurity entanglement entropy versus flux at mu = 0.
 
     The analytic pair is singular at zero flux, so the default grid
@@ -415,7 +362,7 @@ def entropy_scan(n_bosons, xi, tau=0.01, phi_grid=None, threads=None):
             entropy_analytic=entropy_analytic(params.phi, xi),
         )
 
-    return _map_ordered(point, grid, threads)
+    return [point(phi) for phi in grid]
 
 
 def default_fluxes(xi):
@@ -424,7 +371,7 @@ def default_fluxes(xi):
     return (0.5 * phi_c, phi_c, 1.5 * phi_c)
 
 
-def band_panels(n_bosons, xi, mu=0.0, tau=0.01, flux_list=None, threads=None):
+def band_panels(n_bosons, xi, mu=0.0, tau=0.01, flux_list=None):
     """Band curves, eigenstate phase densities and ground strips per flux."""
     fluxes = default_fluxes(xi) if flux_list is None else tuple(float(f) for f in flux_list)
     if not fluxes:
@@ -458,4 +405,4 @@ def band_panels(n_bosons, xi, mu=0.0, tau=0.01, flux_list=None, threads=None):
             ground_phase=ground_map.phase,
         )
 
-    return _map_ordered(panel, fluxes, threads)
+    return [panel(flux) for flux in fluxes]

@@ -15,7 +15,7 @@ from fockladder.cli import (
     parse_args,
     run,
 )
-from fockladder.experiments import THREADS_ENV_VAR, finite_size_extrapolation
+from fockladder.experiments import finite_size_extrapolation
 from fockladder.meanfield import mu_critical
 
 
@@ -228,11 +228,6 @@ class TestRunScans:
 
 
 class TestRunErrors:
-    def test_invalid_thread_env_is_usage_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "zero")
-        config = parse_args(["ground", "--n", "8", "--out", str(tmp_path / "g.csv")])
-        assert run(config) == 2
-
     def test_unwritable_output_directory(self, tmp_path, capsys):
         config = parse_args(
             ["ground", "--n", "8", "--out", str(tmp_path / "missing" / "g.csv")]

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fockladder.experiments import (
-    THREADS_ENV_VAR,
     analytic_pair,
     band_panels,
     default_fluxes,
@@ -12,7 +11,6 @@ from fockladder.experiments import (
     fit_inverse_size,
     interaction_scan,
     scan_flux,
-    scan_threads,
 )
 from fockladder import experiments
 from fockladder.floquet import BranchAmbiguityError, SystemParams, solve_ground
@@ -20,22 +18,6 @@ from fockladder.meanfield import critical_flux
 from fockladder.observables import chiral_current_normalized, entanglement_entropy_numeric
 
 XI = 0.5
-
-
-class TestScanThreads:
-    def test_default_is_single_thread(self, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-        assert scan_threads() == 1
-
-    def test_reads_positive_integer(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "4")
-        assert scan_threads() == 4
-
-    @pytest.mark.parametrize("bad", ["abc", "0", "-2", "1.5"])
-    def test_rejects_invalid_values(self, monkeypatch, bad):
-        monkeypatch.setenv(THREADS_ENV_VAR, bad)
-        with pytest.raises(ValueError, match=THREADS_ENV_VAR):
-            scan_threads()
 
 
 class TestScanFlux:
@@ -60,14 +42,6 @@ class TestScanFlux:
     def test_rejects_grid_outside_domain(self):
         with pytest.raises(ValueError, match="outside"):
             scan_flux(8, mu=0.0, xi=XI, phi_grid=[0.5, 2.0])
-
-    def test_thread_pool_matches_serial(self):
-        grid = np.linspace(0.0, 1.5, 11)
-        serial = scan_flux(8, mu=0.2, xi=XI, phi_grid=grid, threads=1)
-        pooled = scan_flux(8, mu=0.2, xi=XI, phi_grid=grid, threads=3)
-        for a, b in zip(serial, pooled):
-            assert a.jc_numeric == b.jc_numeric
-            assert a.jc_analytic == b.jc_analytic
 
 
 class TestGroundRecord:
@@ -133,8 +107,8 @@ class TestFindMuMax:
         # resolution beyond one coarse step.
         phi_grid = np.linspace(0.0, np.pi / 2.0, 31)
         coarse_grid = np.linspace(-0.6, 0.1, 11)
-        coarse, _ = find_mu_max(20, XI, mu_grid=coarse_grid, phi_grid=phi_grid)
-        fine, _ = find_mu_max(
+        coarse, _, _ = find_mu_max(20, XI, mu_grid=coarse_grid, phi_grid=phi_grid)
+        fine, _, _ = find_mu_max(
             20, XI, mu_grid=np.linspace(-0.6, 0.1, 71), phi_grid=phi_grid
         )
         assert abs(coarse - fine) < coarse_grid[1] - coarse_grid[0]
