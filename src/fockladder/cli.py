@@ -30,6 +30,7 @@ from . import __version__
 from .experiments import (
     DEFAULT_NS,
     DEFAULT_PHI_GRID,
+    GUARD_POINTS,
     analytic_pair,
     band_panels,
     entropy_scan,
@@ -205,13 +206,13 @@ def _add_system_flags(parser, with_mu=True):
                         help="driving period in units of 1/J (default 0.01)")
 
 
-def _add_phi_grid_flags(parser, default_min=0.0, default_points=121):
+def _add_phi_grid_flags(parser, default_min=0.0, default_points=121, note=""):
     parser.add_argument("--phi-min", type=_finite_float, default=default_min,
                         help=f"lowest flux in rad (default {default_min:g})")
     parser.add_argument("--phi-max", type=_finite_float, default=HALF_PI,
                         help="highest flux in rad (default pi/2)")
     parser.add_argument("--phi-points", type=_points_at_least(2), default=default_points,
-                        help=f"flux grid size (default {default_points})")
+                        help=f"flux grid size (default {default_points}){note}")
 
 
 def _add_mu_grid_flags(parser):
@@ -257,9 +258,10 @@ def _build_parser():
     _add_phi_grid_flags(p)
     _add_output_flags(p)
 
+    peak_note = f"; each flux-peak search thins it to at most {GUARD_POINTS} guard fluxes"
     p = sub.add_parser("mu-scan", help="peak chiral current versus interaction")
     _add_system_flags(p, with_mu=False)
-    _add_phi_grid_flags(p)
+    _add_phi_grid_flags(p, note=peak_note)
     _add_mu_grid_flags(p)
     _add_output_flags(p)
 
@@ -270,7 +272,7 @@ def _build_parser():
                    help="impurity-BEC coupling ratio (default 0.5)")
     p.add_argument("--tau", type=_positive_float, default=0.01,
                    help="driving period in units of 1/J (default 0.01)")
-    _add_phi_grid_flags(p)
+    _add_phi_grid_flags(p, note=peak_note)
     _add_mu_grid_flags(p)
     _add_output_flags(p)
 

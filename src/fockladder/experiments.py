@@ -14,6 +14,7 @@ byte-identical downstream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,14 +58,17 @@ DEFAULT_PHI_GRID = np.linspace(0.0, np.pi / 2.0, 121)
 DEFAULT_MU_GRID = np.linspace(-0.6, 0.1, 71)
 DEFAULT_NS = (20, 40, 60, 80, 100)
 
-# The flux peak of the current sharpens with N faster than any fixed
-# grid; each grid maximum is polished by this many bracketed
-# subdivision passes so the peak height fed into the interaction fit
-# is grid-independent.  The interaction axis gets the same treatment
-# in find_mu_max.
-PEAK_REFINE_PASSES = 6
-PEAK_REFINE_POINTS = 9
-MU_REFINE_PASSES = 4
+# Flux peaks: a guard of at most GUARD_POINTS grid fluxes, then a
+# bounded Brent search on the bracket of each guard local maximum and on
+# a warm bracket around the previous interaction's peak flux.  Rows are
+# located to PEAK_XATOL, in flux and, for mu_max, in mu.  Near mu_max
+# the flux peak is a jump where the parity sectors' lowest quasienergies
+# cross (j_c falls by ~0.13 within 1e-6 of flux), so the peak current is
+# low by about slope * xatol; inside the mu polish the flux searches use
+# POLISH_XATOL, without which mu_max jitters by ~4e-5.
+GUARD_POINTS = 31
+PEAK_XATOL = 1e-6
+POLISH_XATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -182,61 +186,91 @@ def _current(n_bosons, mu, xi, tau, phi):
     return chiral_current_normalized(state, params.phi)
 
 
-def _subdivide_max(evaluate, start_grid, start_values, passes):
-    # Bracketed subdivision around the discrete maximum.  Keeps the
-    # full one-cell bracket each pass, so nearby secondary bumps inside
-    # the bracket cannot steal the maximum; deterministic throughout.
-    values = np.asarray(start_values)
-    grid = np.asarray(start_grid, dtype=float)
-    k = int(np.argmax(values))
-    best_x, best = float(grid[k]), float(values[k])
-    lo = float(grid[max(k - 1, 0)])
-    hi = float(grid[min(k + 1, grid.size - 1)])
-    triple = None
-    for _ in range(passes):
-        sub = np.linspace(lo, hi, PEAK_REFINE_POINTS)
-        sub_values = np.asarray([evaluate(x) for x in sub])
-        j = int(np.argmax(sub_values))
-        if sub_values[j] > best:
-            best_x, best = float(sub[j]), float(sub_values[j])
-        if 0 < j < PEAK_REFINE_POINTS - 1:
-            triple = (sub[j - 1:j + 2].copy(), sub_values[j - 1:j + 2].copy())
-        lo = float(sub[max(j - 1, 0)])
-        hi = float(sub[min(j + 1, PEAK_REFINE_POINTS - 1)])
-    return best_x, best, triple
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
 
 
-def _flux_peak(n_bosons, mu, xi, tau, grid):
-    # (phi, jc) at the flux maximum of the current: every grid flux,
-    # then bracketed subdivision around the discrete maximum; the flux
-    # peak sharpens with N beyond any fixed grid and develops a
-    # double-bump structure near the critical attraction, both of which
-    # the subdivision resolves.
+def _bounded_max(f, lo, hi, xatol):
+    # Brent's bounded minimizer FMIN (Brent 1973, ch. 5) on -f: golden
+    # section plus trusted parabolic steps, the iterates of scipy's
+    # minimize_scalar(method="bounded") without importing scipy.optimize
+    # (+16 MiB, +0.25 s per process).  Never evaluates the bounds.
+    # Returns (x, f(x)) of the best point.
+    a, b = lo, hi
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = -f(x)
+    d = e = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - m) <= tol2 - 0.5 * (b - a):
+            return x, -fx
+        golden = True
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = (-p, q) if q > 0.0 else (p, -q)
+            r, e = e, d
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                golden = False
+                d = p / q
+                if x + d - a < tol2 or b - x - d < tol2:
+                    d = tol1 if m >= x else -tol1
+        if golden:
+            e = a - x if x >= m else b - x
+            d = _GOLDEN * e
+        u = x + (max(abs(d), tol1) if d >= 0.0 else -max(abs(d), tol1))
+        fu = -f(u)
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
+def _flux_peak(n_bosons, mu, xi, tau, grid, warm=None, xatol=PEAK_XATOL):
+    # (phi, jc) at the flux maximum of the current on [grid[0], grid[-1]].
+    # Near mu_c the current has two bumps in flux; whether the guard
+    # resolves both depends on how it lines up with them, and the warm
+    # bracket (one guard step either side of `warm`) is the second
+    # chance at a bump the guard merges.
     def current(phi):
         return _current(n_bosons, mu, xi, tau, phi)
 
-    values = [current(phi) for phi in grid]
-    best_phi, best, _ = _subdivide_max(current, grid, values, PEAK_REFINE_PASSES)
+    stride = max(1, math.ceil((grid.size - 1) / (GUARD_POINTS - 1)))
+    guard = np.append(grid[:-1:stride], grid[-1])
+    values = np.array([current(phi) for phi in guard])
+    padded = np.concatenate(([-np.inf], values, [-np.inf]))
+    brackets = [
+        (guard[max(k - 1, 0)], guard[min(k + 1, guard.size - 1)])
+        for k in np.flatnonzero((values > padded[:-2]) & (values >= padded[2:]))
+    ]
+    if warm is not None and guard.size > 1:
+        step = guard[1] - guard[0]
+        brackets.append((max(warm - step, grid[0]), min(warm + step, grid[-1])))
+    k = int(np.argmax(values))
+    best_phi, best = float(guard[k]), float(values[k])
+    for lo, hi in brackets:
+        if lo < hi:
+            phi, jc = _bounded_max(current, float(lo), float(hi), xatol)
+            if jc > best:
+                best_phi, best = phi, float(jc)
     return best_phi, best
-
-
-def _parabola_vertex(x, y, k):
-    # Vertex of the parabola through the three samples around index k;
-    # falls back to the grid point when the triple is not concave.
-    h = x[k + 1] - x[k]
-    curvature = y[k - 1] - 2.0 * y[k] + y[k + 1]
-    if curvature >= 0.0:
-        return float(x[k]), float(y[k])
-    shift = 0.5 * h * (y[k - 1] - y[k + 1]) / curvature
-    peak = y[k] - 0.25 * (y[k - 1] - y[k + 1]) * shift / h
-    return float(x[k] + shift), float(peak)
 
 
 def interaction_scan(n_bosons, xi, tau=0.01, mu_grid=None, phi_grid=None):
     """Peak chiral current versus interaction strength.
 
     Returns a list of (mu, peak_phi, peak_jc) triples, one per grid
-    interaction, with the current maximized over flux for each.
+    interaction, with the current maximized over flux for each (guard +
+    warm bracket + bounded Brent, peak flux located to 1e-6).
     """
     mu_values = np.asarray(DEFAULT_MU_GRID if mu_grid is None else mu_grid, dtype=float)
     if mu_values.size < 3:
@@ -244,16 +278,21 @@ def interaction_scan(n_bosons, xi, tau=0.01, mu_grid=None, phi_grid=None):
     if np.any(np.diff(mu_values) <= 0):
         raise ValueError("interaction grid must be strictly ascending")
     grid = _check_phi_grid(DEFAULT_PHI_GRID if phi_grid is None else phi_grid)
-    return [(float(mu), *_flux_peak(n_bosons, float(mu), xi, tau, grid)) for mu in mu_values]
+    rows, warm = [], None
+    for mu in mu_values:
+        peak_phi, peak_jc = _flux_peak(n_bosons, float(mu), xi, tau, grid, warm)
+        rows.append((float(mu), peak_phi, peak_jc))
+        warm = peak_phi
+    return rows
 
 
 def _refine_interaction_peak(rows, n_bosons, xi, tau, phi_grid):
-    # Polish the interaction maximum of interaction_scan rows.  The
-    # interaction axis is subdivided around the discrete maximum (the
-    # peak narrows below the default grid step once N reaches ~80,
-    # where a single wide parabola would bias the answer by several
-    # grid steps) and finished with a quadratic through the innermost
-    # three points.  Returns (mu_max, max_jc).
+    # Polish the interaction maximum of interaction_scan rows by a
+    # bounded Brent search over mu between the grid neighbours of the
+    # discrete maximum (the peak narrows below the default grid step
+    # once N reaches ~80).  Each evaluation is a flux-peak search in a
+    # window, warm at the grid maximum's peak flux.  Returns
+    # (mu_max, max_jc).
     mu_values = np.array([row[0] for row in rows])
     peak_phis = np.array([row[1] for row in rows])
     peaks = np.array([row[2] for row in rows])
@@ -264,7 +303,7 @@ def _refine_interaction_peak(rows, n_bosons, xi, tau, phi_grid):
             "widen the mu bracket"
         )
 
-    # Flux window for the subdivided interaction points: the peak flux
+    # Flux window for the polish evaluations: the peak flux
     # drifts slowly with mu, so a window around the coarse-grid peak
     # flux, wide enough to cover that drift across the bracket and any
     # secondary bump beside it, is much cheaper than the full grid.
@@ -275,22 +314,21 @@ def _refine_interaction_peak(rows, n_bosons, xi, tau, phi_grid):
     window = np.linspace(max(peak_phis[k] - halfwidth, 0.0),
                          min(peak_phis[k] + halfwidth, np.pi / 2.0), 25)
 
-    best_mu, best, triple = _subdivide_max(
-        lambda mu: _flux_peak(n_bosons, mu, xi, tau, window)[1],
-        mu_values, peaks, MU_REFINE_PASSES,
+    return _bounded_max(
+        lambda mu: _flux_peak(n_bosons, mu, xi, tau, window, peak_phis[k], POLISH_XATOL)[1],
+        float(mu_values[k - 1]), float(mu_values[k + 1]), PEAK_XATOL,
     )
-    if triple is None:
-        return best_mu, best
-    sub, sub_values = triple
-    return _parabola_vertex(sub, sub_values, 1)
 
 
 def find_mu_max(n_bosons, xi, tau=0.01, mu_grid=None, phi_grid=None):
     """Interaction strength maximizing the peak chiral current.
 
     For each mu on the grid the current is maximized over flux
-    (interaction_scan), then the interaction maximum is polished by
-    bracketed subdivision and a final parabola.  Returns
+    (interaction_scan), then the interaction maximum is polished by a
+    bounded Brent search over mu, maximizing over flux at each step.
+    Near mu_max the flux peak is a jump where the two parity sectors'
+    lowest quasienergies cross, so those flux searches are located to
+    1e-9.  Returns
     (mu_max, max_jc, rows): the current in 2 J_C/(N J) units and the
     interaction_scan rows the maximum was refined from.
     """

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,26 @@ class TestInteractionScan:
         with pytest.raises(ValueError, match="ascending"):
             interaction_scan(8, XI, mu_grid=[0.0, -0.2, -0.4], phi_grid=[0.3, 0.6])
 
+    def test_warm_bracket_keeps_the_higher_bump_at_n20(self):
+        # Near mu_c the current has two bumps in flux; a 21-point guard
+        # without the warm bracket takes the lower one here (phi 0.565,
+        # jc 1.1e-3 low).  The grid ends at the row so the previous
+        # rows' peak flux carries in.
+        mu, peak_phi, peak_jc = interaction_scan(20, XI, mu_grid=[-0.60, -0.59, -0.58])[-1]
+        assert mu == -0.58
+        assert abs(peak_phi - 0.68016) <= 1e-3
+        assert peak_jc >= 0.39517540 - 1e-6
+
+    def test_warm_bracket_keeps_the_higher_bump_at_n40(self):
+        # A 25-point guard without the warm bracket takes the lower bump
+        # here (jc 1.7e-4 low); pinned to what a scan of all 121 grid
+        # fluxes plus subdivision gives.
+        rows = interaction_scan(40, XI, tau=0.0025, mu_grid=[-0.54, -0.53, -0.52])
+        mu, peak_phi, peak_jc = rows[-1]
+        assert mu == -0.52
+        assert abs(peak_phi - 0.6946344376542397) <= 1e-3
+        assert peak_jc >= 0.4529862707805174 - 1e-6
+
     def test_rows_are_interaction_ordered_triples(self):
         grid = np.linspace(-0.5, -0.2, 4)
         rows = interaction_scan(8, XI, mu_grid=grid, phi_grid=np.linspace(0.0, 1.5, 9))
@@ -104,14 +126,96 @@ class TestFindMuMax:
 
     def test_coarse_and_fine_interaction_grids_agree(self):
         # The refined maximum must not depend on the starting grid
-        # resolution beyond one coarse step.
+        # resolution (measured 3.0e-6 apart).
         phi_grid = np.linspace(0.0, np.pi / 2.0, 31)
-        coarse_grid = np.linspace(-0.6, 0.1, 11)
-        coarse, _, _ = find_mu_max(20, XI, mu_grid=coarse_grid, phi_grid=phi_grid)
+        coarse, _, _ = find_mu_max(
+            20, XI, mu_grid=np.linspace(-0.6, 0.1, 11), phi_grid=phi_grid
+        )
         fine, _, _ = find_mu_max(
             20, XI, mu_grid=np.linspace(-0.6, 0.1, 71), phi_grid=phi_grid
         )
-        assert abs(coarse - fine) < coarse_grid[1] - coarse_grid[0]
+        assert abs(coarse - fine) < 5e-5
+
+    def test_solve_count_on_default_grids(self, monkeypatch):
+        # 71 rows of guard + warm bracket + Brent, plus the mu polish:
+        # 5,690 solves (an exhaustive 121-point scan is 8,591 alone).
+        calls = []
+
+        def counted(params):
+            calls.append(params)
+            return solve_ground(params)
+
+        monkeypatch.setattr(experiments, "solve_ground", counted)
+        find_mu_max(20, XI)
+        assert len(calls) <= 6500
+
+
+def _sector_jump(x):
+    # The sector crossing: the current rises linearly to x = 0.68, then
+    # drops to the other sector's branch.
+    return 0.6166 + 1.33 * (x - 0.68) if x <= 0.68 else 0.4834 - 0.5 * (x - 0.68)
+
+
+class TestBoundedMax:
+    # The private Brent maximizer behind every flux and interaction peak.
+    XATOL = 1e-6
+
+    @staticmethod
+    def counted(f):
+        calls = []
+
+        def wrapped(x):
+            calls.append(x)
+            return f(x)
+
+        return wrapped, calls
+
+    CASES = {
+        "quadratic": (lambda x: -(x - 0.3) ** 2, 0.0, 1.0),
+        "jump": (_sector_jump, 0.6, 0.75),
+        "bound": (lambda x: x, 0.0, 1.0),
+        "damped_cosine": (lambda x: math.cos(3.0 * x) * math.exp(-x), -1.0, 1.0),
+        "skewed": (lambda x: x * math.exp(-5.0 * x), 0.0, 2.0),
+    }
+
+    def test_quadratic(self):
+        f, calls = self.counted(self.CASES["quadratic"][0])
+        x, fx = experiments._bounded_max(f, 0.0, 1.0, self.XATOL)
+        assert len(calls) <= 8
+        assert abs(x - 0.3) <= self.XATOL
+        assert fx == -((x - 0.3) ** 2)
+
+    def test_one_sided_jump(self):
+        x, fx = experiments._bounded_max(_sector_jump, 0.6, 0.75, self.XATOL)
+        assert 0.0 <= 0.68 - x <= self.XATOL
+        assert fx >= 0.6166 - 1.33 * self.XATOL
+
+    def test_maximum_on_a_bound(self):
+        x, fx = experiments._bounded_max(lambda x: x, 0.0, 1.0, self.XATOL)
+        assert 0.0 < 1.0 - x <= self.XATOL
+        assert fx == x
+
+    @pytest.mark.parametrize("xatol", [1e-5, 1e-6, 1e-9])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_scipy_bounded(self, name, xatol):
+        from scipy.optimize import minimize_scalar
+
+        f, lo, hi = self.CASES[name]
+        x, fx = experiments._bounded_max(f, lo, hi, xatol)
+        ref = minimize_scalar(
+            lambda t: -f(t), bounds=(lo, hi), method="bounded", options={"xatol": xatol}
+        )
+        assert abs(x - ref.x) <= 1e-12
+        assert fx == -ref.fun
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_evaluation_count_ceiling(self, name):
+        # Golden section alone needs ~38 steps to shrink [0, 1] to the
+        # 1e-8 relative floor of the stopping test.
+        f, lo, hi = self.CASES[name]
+        f, calls = self.counted(f)
+        experiments._bounded_max(f, lo, hi, 1e-9)
+        assert len(calls) <= 40
 
 
 class TestFitInverseSize:
