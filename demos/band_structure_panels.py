@@ -20,7 +20,7 @@ def local_maxima(values, floor_fraction=0.05):
     return [
         k
         for k in range(1, values.size - 1)
-        if values[k] > values[k - 1] and values[k] > values[k + 1] and values[k] >= floor
+        if values[k] > values[k - 1] and values[k] >= values[k + 1] and values[k] >= floor
     ]
 
 

@@ -22,10 +22,9 @@ import numpy as np
 from .floquet import (
     BranchAmbiguityError,
     SystemParams,
-    build_floquet,
-    ground_state,
+    _sector_ground,
+    _sector_spectra,
     solve_ground,
-    spectrum,
 )
 from .lattice import rung_values
 from .meanfield import band_energy, chiral_current_analytic, critical_flux, entropy_analytic, mu_critical
@@ -95,12 +94,6 @@ class FitResult:
     r_squared: float
     points: tuple
 
-    def __post_init__(self):
-        if len(self.points) < 3:
-            raise ValueError(f"fit needs at least 3 points, got {len(self.points)}")
-        if not 0.0 <= self.r_squared <= 1.0:
-            raise ValueError(f"r_squared {self.r_squared} outside [0, 1]")
-
 
 @dataclass(frozen=True)
 class BandPanel:
@@ -108,8 +101,9 @@ class BandPanel:
 
     thetas is the discrete Brillouin zone; e_lower/e_upper the
     mean-field bands on it; density[m_index, i, k] the phase density
-    P_m(theta_k) of eigenstate i (m_index 0 = left leg); the ground_*
-    strips describe the ground state site by site.
+    P_m(theta_k) of parity eigenstate i (m_index 0 = left leg, whose
+    density at theta is the right leg's at -theta); the ground_* strips
+    describe the solve_ground state site by site.
     """
 
     flux: float
@@ -123,12 +117,12 @@ class BandPanel:
     ground_phase: np.ma.MaskedArray
 
 
-def _solve_or_abort(params, where, *position):
-    # solve_ground, re-raising a branch ambiguity with the scan position
-    # filled into `where`; formatted only on failure, since scans call
-    # this tens of thousands of times.
+def _solve_or_abort(solver, params, where, *position):
+    # solver(params), re-raising a branch ambiguity with the scan
+    # position filled into `where`; formatted only on failure, since
+    # scans call this tens of thousands of times.
     try:
-        return solve_ground(params)
+        return solver(params)
     except BranchAmbiguityError as exc:
         raise BranchAmbiguityError(f"{where.format(*position)}: {exc}") from exc
 
@@ -170,7 +164,7 @@ def scan_flux(n_bosons, mu, xi, tau=0.01, phi_grid=None):
 
     def point(phi):
         params = SystemParams(n=n_bosons, mu=mu, xi=xi, phi=float(phi), tau=tau)
-        _, state = _solve_or_abort(params, "flux scan aborted at phi={}", phi)
+        _, state = _solve_or_abort(solve_ground, params, "flux scan aborted at phi={}", phi)
         return ScanRecord(
             params=params,
             jc_numeric=chiral_current_normalized(state, params.phi),
@@ -182,7 +176,7 @@ def scan_flux(n_bosons, mu, xi, tau=0.01, phi_grid=None):
 
 def _current(n_bosons, mu, xi, tau, phi):
     params = SystemParams(n=n_bosons, mu=float(mu), xi=xi, phi=float(phi), tau=tau)
-    _, state = _solve_or_abort(params, "interaction scan aborted at mu={}, phi={}", mu, phi)
+    _, state = _solve_or_abort(solve_ground, params, "interaction scan aborted at mu={}, phi={}", mu, phi)
     return chiral_current_normalized(state, params.phi)
 
 
@@ -393,7 +387,7 @@ def entropy_scan(n_bosons, xi, tau=0.01, phi_grid=None):
 
     def point(phi):
         params = SystemParams(n=n_bosons, mu=0.0, xi=xi, phi=float(phi), tau=tau)
-        _, state = _solve_or_abort(params, "entropy scan aborted at phi={}", phi)
+        _, state = _solve_or_abort(solve_ground, params, "entropy scan aborted at phi={}", phi)
         return ScanRecord(
             params=params,
             entropy_numeric=entanglement_entropy_numeric(state),
@@ -415,28 +409,25 @@ def band_panels(n_bosons, xi, mu=0.0, tau=0.01, flux_list=None):
     if not fluxes:
         raise ValueError("flux list is empty")
     thetas = phase_grid(n_bosons)
-    size = n_bosons + 1
+    fourier_t = np.exp(1j * np.multiply.outer(rung_values(n_bosons), thetas))
 
     def panel(flux):
         params = SystemParams(n=n_bosons, mu=mu, xi=xi, phi=flux, tau=tau)
-        try:
-            spec = spectrum(build_floquet(params), tau)
-        except BranchAmbiguityError as exc:
-            raise BranchAmbiguityError(f"band panel aborted at phi={flux}: {exc}") from exc
-        eps0, ground = ground_state(spec)
-        # One Fourier matrix serves every eigenstate on both legs.
-        fourier = np.exp(1j * np.multiply.outer(thetas, rung_values(n_bosons)))
-        density = np.empty((2, spec.states.shape[1], size))
-        for m_index in range(2):
-            block = spec.states[m_index * size:(m_index + 1) * size, :]
-            density[m_index] = (np.abs(fourier @ block) ** 2).T
+        sectors = _solve_or_abort(_sector_spectra, params, "band panel aborted at phi={}", flux)
+        eps0, ground = _sector_ground(*sectors)
+        quasienergies = np.concatenate([spec.quasienergies for spec in sectors])
+        order = np.argsort(quasienergies, kind="stable")
+        # A sector vector x is the state [x; +-x reversed]/sqrt(2).
+        left = np.concatenate([spec.states for spec in sectors], axis=1)[:, order].T
+        legs = np.stack([left, left[:, ::-1]]) / np.sqrt(2.0)
+        density = np.abs(legs @ fourier_t) ** 2
         ground_map = fock_density_phase(ground)
         return BandPanel(
             flux=flux,
             thetas=thetas,
             e_lower=band_energy(thetas, flux, xi, n_bosons, "lower"),
             e_upper=band_energy(thetas, flux, xi, n_bosons, "upper"),
-            quasienergies=spec.quasienergies,
+            quasienergies=quasienergies[order],
             density=density,
             ground_quasienergy=float(eps0),
             ground_density=ground_map.density,

@@ -25,14 +25,14 @@ eps = -2 atan(h)/tau lands in the principal zone automatically.  The
 sign convention eps_i = -arg(lambda_i)/tau makes quasienergies order
 like energies of H_eff, so "ground state" means minimal eps.
 
-U_F commutes with the parity Pi = sigma_x (x) (n -> -n), so scans solve
-its two parity sectors instead of the full ladder.  On the basis
-(|n, L> +- |-n, R>)/sqrt(2) the sector operators are U_+- = A +- B R,
-where [A | B] are the left-leg rows of U_F and R reverses columns; each
-is (N+1)-dimensional.  The lower sector minimum is the ground state;
-when the two minima lie within DEGENERACY_TOL (a vortex doublet) the
-even sector wins, which is the parity-even member ground_state picks
-from the full spectrum.
+U_F commutes with the parity Pi = sigma_x (x) (n -> -n), so every
+pipeline solves its two parity sectors instead of the full ladder.  On
+the basis (|n, L> +- |-n, R>)/sqrt(2) the sector operators are
+U_+- = A +- B R, where [A | B] are the left-leg rows of U_F and R
+reverses columns; each is (N+1)-dimensional.  The lower sector minimum
+is the ground state, the even sector on a tie within DEGENERACY_TOL (a
+vortex doublet).  build_floquet, spectrum and ground_state are the
+full-space reference route.
 """
 
 from __future__ import annotations
@@ -252,8 +252,9 @@ def spectrum(floquet_op, tau):
 
 
 def ground_state(spec):
-    """Eigenpair with minimal quasienergy.
+    """Eigenpair with minimal quasienergy of a full-space spectrum.
 
+    No pipeline calls it: it is the full-space reference for solve_ground.
     When the two lowest quasienergies are degenerate (vortex phase at
     large N) the eigensolver returns an arbitrary basis of the doublet;
     the combination even under the parity operator is selected to keep
@@ -277,6 +278,29 @@ def ground_state(spec):
     return eps[0], state / np.linalg.norm(state)
 
 
+def _sector_spectra(params):
+    # Spectra of the even and odd parity sectors U_+- = A +- B R of U_F.
+    kick, e1_left, e1_right, c, s = _kick_factors(params)
+    # Left-leg rows of U_F: A = U_LL, and B R = U_LR with reversed
+    # columns; E3 gives the left rows the right leg's E1 phases.
+    left_block = e1_left[:, None] * kick
+    a = left_block * (c * e1_right)[None, :]
+    b_reversed = left_block[:, ::-1] * (1j * s * e1_right[::-1])[None, :]
+    # numpy.linalg only: scipy's bundled OpenBLAS, mixed in, costs more than the solve.
+    return spectrum(a + b_reversed, params.tau), spectrum(a - b_reversed, params.tau)
+
+
+def _sector_ground(even, odd):
+    # The ground pair of solve_ground from the two sector spectra.
+    eps_even, eps_odd = even.quasienergies[0], odd.quasienergies[0]
+    if eps_even <= eps_odd + DEGENERACY_TOL:
+        x, sign = even.states[:, 0], 1.0
+    else:
+        x, sign = odd.states[:, 0], -1.0
+    state = np.concatenate([x, sign * x[::-1]])
+    return min(eps_even, eps_odd), state / np.linalg.norm(state)
+
+
 def solve_ground(params):
     """Ground quasienergy and state of U_F, solved in its parity sectors.
 
@@ -287,19 +311,4 @@ def solve_ground(params):
     winner's lowest vector x embedded as [x; +-x reversed], an exact
     parity eigenstate, with unit norm to within one ulp.
     """
-    kick, e1_left, e1_right, c, s = _kick_factors(params)
-    # Left-leg rows of U_F: A = U_LL, and B R = U_LR with reversed
-    # columns; E3 gives the left rows the right leg's E1 phases.
-    left_block = e1_left[:, None] * kick
-    a = left_block * (c * e1_right)[None, :]
-    b_reversed = left_block[:, ::-1] * (1j * s * e1_right[::-1])[None, :]
-    # numpy.linalg only: scipy's bundled OpenBLAS, mixed in, costs more than the solve.
-    even = spectrum(a + b_reversed, params.tau)
-    odd = spectrum(a - b_reversed, params.tau)
-    eps_even, eps_odd = even.quasienergies[0], odd.quasienergies[0]
-    if eps_even <= eps_odd + DEGENERACY_TOL:
-        x, sign = even.states[:, 0], 1.0
-    else:
-        x, sign = odd.states[:, 0], -1.0
-    state = np.concatenate([x, sign * x[::-1]])
-    return min(eps_even, eps_odd), state / np.linalg.norm(state)
+    return _sector_ground(*_sector_spectra(params))

@@ -151,7 +151,7 @@ def count_phase_maxima(panel):
     hits = [
         k
         for k in range(1, profile.size - 1)
-        if profile[k] > profile[k - 1] and profile[k] > profile[k + 1]
+        if profile[k] > profile[k - 1] and profile[k] >= profile[k + 1]
         and profile[k] >= floor
     ]
     return hits, panel.thetas[hits] if hits else np.array([])

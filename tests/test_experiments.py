@@ -15,9 +15,20 @@ from fockladder.experiments import (
     scan_flux,
 )
 from fockladder import experiments
-from fockladder.floquet import BranchAmbiguityError, SystemParams, solve_ground
+from fockladder.floquet import (
+    DEGENERACY_TOL,
+    BranchAmbiguityError,
+    SystemParams,
+    build_floquet,
+    solve_ground,
+    spectrum,
+)
 from fockladder.meanfield import critical_flux
-from fockladder.observables import chiral_current_normalized, entanglement_entropy_numeric
+from fockladder.observables import (
+    chiral_current_normalized,
+    entanglement_entropy_numeric,
+    fock_density_phase,
+)
 
 XI = 0.5
 
@@ -275,6 +286,33 @@ class TestBandPanels:
         with pytest.raises(ValueError, match="empty"):
             band_panels(8, XI, flux_list=[])
 
+    def test_every_eigenstate_is_parity_symmetric_at_a_doublet(self):
+        # A parity eigenstate's right leg is its left leg reversed, so its
+        # right-leg density at theta_k is the left-leg one at theta_{-k}.
+        n_bosons = 100
+        panel = band_panels(n_bosons, XI, flux_list=[1.4])[0]
+        assert panel.quasienergies[1] - panel.quasienergies[0] <= DEGENERACY_TOL
+        mirror = -np.arange(n_bosons + 1) % (n_bosons + 1)
+        np.testing.assert_allclose(
+            panel.density[1], panel.density[0][:, mirror], rtol=0.0, atol=1e-12
+        )
+
+    def test_ground_matches_solve_ground(self):
+        params = SystemParams(n=100, mu=0.0, xi=XI, phi=1.4)
+        panel = band_panels(params.n, XI, flux_list=[params.phi])[0]
+        eps0, state = solve_ground(params)
+        assert panel.ground_quasienergy == eps0
+        np.testing.assert_array_equal(panel.ground_density, fock_density_phase(state).density)
+
+    @pytest.mark.parametrize("n_bosons", [8, 100])
+    def test_quasienergies_match_full_space_spectrum(self, n_bosons):
+        for panel in band_panels(n_bosons, XI, flux_list=[0.3, 1.4]):
+            params = SystemParams(n=n_bosons, mu=0.0, xi=XI, phi=panel.flux)
+            full = spectrum(build_floquet(params), params.tau).quasienergies
+            assert np.all(
+                np.abs(panel.quasienergies - full) <= 1e-12 * np.maximum(1.0, np.abs(full))
+            )
+
 
 class TestBranchAbortMessages:
     @pytest.fixture
@@ -283,6 +321,7 @@ class TestBranchAbortMessages:
             raise BranchAmbiguityError("edge")
 
         monkeypatch.setattr(experiments, "solve_ground", refuse)
+        monkeypatch.setattr(experiments, "_sector_spectra", refuse)
 
     def test_flux_scan_names_the_flux(self, ambiguous):
         with pytest.raises(BranchAmbiguityError, match=r"^flux scan aborted at phi=0.5: edge$"):
@@ -297,3 +336,7 @@ class TestBranchAbortMessages:
     def test_entropy_scan_names_the_flux(self, ambiguous):
         with pytest.raises(BranchAmbiguityError, match=r"^entropy scan aborted at phi=0.5: edge$"):
             entropy_scan(8, XI, phi_grid=[0.5])
+
+    def test_band_panel_names_the_flux(self, ambiguous):
+        with pytest.raises(BranchAmbiguityError, match=r"^band panel aborted at phi=0.5: edge$"):
+            band_panels(8, XI, flux_list=[0.5])
