@@ -24,6 +24,7 @@ from .floquet import (
     SystemParams,
     _sector_ground,
     _sector_spectra,
+    _to_fock,
     solve_ground,
 )
 from .lattice import rung_values
@@ -99,11 +100,11 @@ class FitResult:
 class BandPanel:
     """Everything drawn in one band-structure panel at fixed flux.
 
-    thetas is the discrete Brillouin zone; e_lower/e_upper the
-    mean-field bands on it; density[m_index, i, k] the phase density
-    P_m(theta_k) of parity eigenstate i (m_index 0 = left leg, whose
-    density at theta is the right leg's at -theta); the ground_* strips
-    describe the solve_ground state site by site.
+    thetas is the discrete Brillouin zone; e_lower/e_upper the mean-field
+    bands on it; density[m_index, i, k] the phase density P_m(theta_k) of
+    parity eigenstate i (m_index 0 = left leg, whose density at theta is
+    the right leg's at -theta), in quasienergy order but with i = 0 the
+    solve_ground state, which the ground_* strips describe site by site.
     """
 
     flux: float
@@ -413,12 +414,14 @@ def band_panels(n_bosons, xi, mu=0.0, tau=0.01, flux_list=None):
 
     def panel(flux):
         params = SystemParams(n=n_bosons, mu=mu, xi=xi, phi=flux, tau=tau)
-        sectors = _solve_or_abort(_sector_spectra, params, "band panel aborted at phi={}", flux)
-        eps0, ground = _sector_ground(*sectors)
-        quasienergies = np.concatenate([spec.quasienergies for spec in sectors])
-        order = np.argsort(quasienergies, kind="stable")
+        spec = _solve_or_abort(_sector_spectra, params, "band panel aborted at phi={}", flux)
+        eps0, ground, sector = _sector_ground(spec, params)
+        # Eigenstate 0 is the ground state, also where rounding sorts the
+        # other doublet member's quasienergy below it.
+        order, winner = np.argsort(spec.quasienergies, axis=None, kind="stable"), sector * thetas.size
+        order = np.concatenate([[winner], order[order != winner]])
         # A sector vector x is the state [x; +-x reversed]/sqrt(2).
-        left = np.concatenate([spec.states for spec in sectors], axis=1)[:, order].T
+        left = np.swapaxes(_to_fock(spec.states, params), 1, 2).reshape(-1, thetas.size)[order]
         legs = np.stack([left, left[:, ::-1]]) / np.sqrt(2.0)
         density = np.abs(legs @ fourier_t) ** 2
         ground_map = fock_density_phase(ground)
@@ -427,7 +430,7 @@ def band_panels(n_bosons, xi, mu=0.0, tau=0.01, flux_list=None):
             thetas=thetas,
             e_lower=band_energy(thetas, flux, xi, n_bosons, "lower"),
             e_upper=band_energy(thetas, flux, xi, n_bosons, "upper"),
-            quasienergies=quasienergies[order],
+            quasienergies=np.sort(spec.quasienergies, axis=None),
             density=density,
             ground_quasienergy=float(eps0),
             ground_density=ground_map.density,

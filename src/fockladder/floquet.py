@@ -25,18 +25,25 @@ eps = -2 atan(h)/tau lands in the principal zone automatically.  The
 sign convention eps_i = -arg(lambda_i)/tau makes quasienergies order
 like energies of H_eff, so "ground state" means minimal eps.
 
-U_F commutes with the parity Pi = sigma_x (x) (n -> -n), so every
+U_F commutes with the parity Pi = sigma_x (x) R, R: n -> -n, so every
 pipeline solves its two parity sectors instead of the full ladder.  On
 the basis (|n, L> +- |-n, R>)/sqrt(2) the sector operators are
-U_+- = A +- B R, where [A | B] are the left-leg rows of U_F and R
-reverses columns; each is (N+1)-dimensional.  The lower sector minimum
-is the ground state, the even sector on a tie within DEGENERACY_TOL (a
-vortex doublet).  build_floquet, spectrum and ground_state are the
-full-space reference route.
+U_+- = A +- B R, where [A | B] are the left-leg rows of U_F; each is
+(N+1)-dimensional.  In the symmetric frame U' = E4^{1/2} U_F E4^{-1/2}
+time reversal T = sigma_x K gives T U' T^{-1} = U'^dagger (U_F misses it
+by O(tau)).  On the R-adapted basis Q = (e_0, (e_n + e_-n)/sqrt2,
+i (e_n - e_-n)/sqrt2), where R is diagonal and the frame change a phase,
+T is complex conjugation, so each sector operator is a complex
+symmetric unitary X + iY with the real symmetric Cayley transform
+(I + X)^{-1} Y.  The lower sector minimum is the ground state, the even
+sector on a tie within DEGENERACY_TOL (a vortex doublet).  build_floquet,
+the general branch of spectrum and ground_state are the full-space
+reference route.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -74,6 +81,11 @@ DEGENERACY_TOL = 1e-10
 # |h| = |tan(eps tau / 2)| at |eps tau| = pi - 1e-9; beyond it the folded
 # phase cannot be distinguished from the zone edge in double precision.
 _BRANCH_H_LIMIT = 2.0e9
+
+# (I + X)^{-1} Y divides by 1 + cos(eps tau), a double zero at the zone edge,
+# and within ~3e-8 of it loses every eigenphase.  Its skew part (~h^2 ulps:
+# <1e-10 to |eps tau| = pi - 1e-2, >5e-8 once lost) shows when to go complex.
+_REAL_SKEW_LIMIT = 1.0e-8
 
 
 class BranchAmbiguityError(RuntimeError):
@@ -220,35 +232,51 @@ def build_heff(params):
     return h
 
 
-def spectrum(floquet_op, tau):
-    """Quasienergy decomposition of a unitary operator.
+def _transpose(a):
+    return np.swapaxes(a, -1, -2)
 
-    The Cayley transform turns the unitary eigenproblem into a
-    Hermitian one, and eigh re-orthonormalizes degenerate subspaces as
-    a side effect.  Quasienergies close to the zone edge make the
-    transform blow up; that condition is reported rather than folded
-    silently.
-    """
-    u = np.asarray(floquet_op)
-    if tau <= 0:
-        raise ValueError(f"kick interval tau must be > 0, got {tau}")
-    eye = np.eye(u.shape[0])
+
+def _cayley_eigh(u):
+    # eigh of the Cayley transform: the real (I + X)^{-1} Y for a symmetric
+    # U = X + iY unless that is ill-conditioned, else i (I - U)(I + U)^{-1}.
+    eye = np.eye(u.shape[-1])
+    if (u == _transpose(u)).all():
+        with suppress(np.linalg.LinAlgError):
+            m = np.linalg.solve(eye + u.real, u.imag)
+            if np.abs(m - _transpose(m)).max() <= _REAL_SKEW_LIMIT:
+                tangents, vectors = np.linalg.eigh(m + _transpose(m))
+                return 0.5 * tangents, vectors
     try:
-        transform = 1j * np.linalg.solve((eye + u).T, (eye - u).T).T
+        transform = 1j * _transpose(np.linalg.solve(_transpose(eye + u), _transpose(eye - u)))
     except np.linalg.LinAlgError as exc:
         raise BranchAmbiguityError(
             "quasienergy at the folding boundary |eps|*tau = pi; shrink tau"
         ) from exc
-    tangents, vectors = np.linalg.eigh(transform)
+    return np.linalg.eigh(transform)
+
+
+def spectrum(floquet_op, tau):
+    """Quasienergy decomposition of a unitary operator or a stack (..., d, d).
+
+    The Cayley transform turns the unitary eigenproblem into a Hermitian
+    one, and eigh re-orthonormalizes degenerate subspaces as a side
+    effect; a symmetric X + iY takes the real transform (I + X)^{-1} Y,
+    unless an eigenphase is too close to pi for it.  Quasienergies close
+    to the zone edge make the transform blow up; that is reported.
+    """
+    u = np.asarray(floquet_op)
+    if tau <= 0:
+        raise ValueError(f"kick interval tau must be > 0, got {tau}")
+    tangents, vectors = _cayley_eigh(u)
     largest = np.abs(tangents).max()
     if largest >= _BRANCH_H_LIMIT:
         raise BranchAmbiguityError(
             f"quasienergy within 1e-9 of the folding boundary pi/tau "
             f"(|tan(eps tau/2)| = {largest:.2e}); shrink tau"
         )
-    eps = -2.0 * np.arctan(tangents) / tau
-    order = np.argsort(eps, kind="stable")
-    return Spectrum(quasienergies=eps[order], states=vectors[:, order])
+    # eps = -2 atan(h)/tau falls as h rises: eigh's order reversed is ascending.
+    eps = -2.0 * np.arctan(tangents[..., ::-1]) / tau
+    return Spectrum(quasienergies=eps, states=vectors[..., ::-1])
 
 
 def ground_state(spec):
@@ -278,37 +306,66 @@ def ground_state(spec):
     return eps[0], state / np.linalg.norm(state)
 
 
+def _fold(m):
+    # S m along axis -2: rows e_0, e_n + e_-n, e_n - e_-n for n = 1 .. N/2.
+    half = m.shape[-2] // 2
+    up, down = m[..., half + 1:, :], m[..., half - 1::-1, :]
+    return np.concatenate([m[..., half:half + 1, :], up + down, up - down], axis=-2)
+
+
+@lru_cache(maxsize=16)
+def _frame_phases(n_bosons, xi, tau):
+    # Row and column scales (2, 2, d), even sector first, taking the fold
+    # S M S^T to G Q^dagger M Q G.  On the adapted basis Q = S^T diag(f), R is
+    # d = (+1 on e_0 and the symmetric pairs, -1 on the antisymmetric ones),
+    # so E4^{1/2} = cos a +- i sin a R, a = N xi tau / 4, is G = e^{+-i a d}.
+    half = n_bosons // 2
+    d = np.concatenate([np.ones(half + 1), -np.ones(half)])
+    f = np.concatenate([[1.0], np.full(half, np.sqrt(0.5)), np.full(half, 1j * np.sqrt(0.5))])
+    g = np.exp(0.25j * n_bosons * xi * tau * np.multiply.outer((1.0, -1.0), d))
+    table = np.stack([np.conj(f) * g, f * g])
+    table.setflags(write=False)
+    return table
+
+
 def _sector_spectra(params):
-    # Spectra of the even and odd parity sectors U_+- = A +- B R of U_F.
-    kick, e1_left, e1_right, c, s = _kick_factors(params)
-    # Left-leg rows of U_F: A = U_LL, and B R = U_LR with reversed
-    # columns; E3 gives the left rows the right leg's E1 phases.
-    left_block = e1_left[:, None] * kick
-    a = left_block * (c * e1_right)[None, :]
-    b_reversed = left_block[:, ::-1] * (1j * s * e1_right[::-1])[None, :]
-    # numpy.linalg only: scipy's bundled OpenBLAS, mixed in, costs more than the solve.
-    return spectrum(a + b_reversed, params.tau), spectrum(a - b_reversed, params.tau)
+    # Spectra of W_+- = E4^{1/2} U_+- E4^{-1/2} on the adapted basis (rows 0
+    # even, 1 odd) in one spectrum() call.  U_+- = M g_+-^2, M = D_L K D_R (E1
+    # E2 E3 on the left-leg rows), so W_+- = G Q^dagger M Q G, symmetric as M^T = R M R.
+    kick, e1_left, e1_right, _, _ = _kick_factors(params)
+    folded = _fold(_fold(e1_left[:, None] * kick * e1_right).T).T
+    rows, cols = _frame_phases(params.n, params.xi, params.tau)
+    w = folded * rows[:, :, None] * cols[:, None, :]
+    return spectrum(0.5 * (w + _transpose(w)), params.tau)
 
 
-def _sector_ground(even, odd):
-    # The ground pair of solve_ground from the two sector spectra.
-    eps_even, eps_odd = even.quasienergies[0], odd.quasienergies[0]
-    if eps_even <= eps_odd + DEGENERACY_TOL:
-        x, sign = even.states[:, 0], 1.0
-    else:
-        x, sign = odd.states[:, 0], -1.0
-    state = np.concatenate([x, sign * x[::-1]])
-    return min(eps_even, eps_odd), state / np.linalg.norm(state)
+def _to_fock(vectors, params):
+    # Sector vectors x = E4^{-1/2} Q y = S^T (conj(rows) y) on the rung
+    # basis from adapted-basis columns y, stacked (2, d, k) like the spectra.
+    z = np.conj(_frame_phases(params.n, params.xi, params.tau)[0])[:, :, None] * vectors
+    sym, anti = np.split(z[:, 1:], 2, axis=1)
+    return np.concatenate([(sym - anti)[:, ::-1], z[:, :1], sym + anti], axis=1)
+
+
+def _sector_ground(spec, params):
+    # (eps0, state, sector) of solve_ground from the stacked sector spectra.
+    eps_even, eps_odd = spec.quasienergies[:, 0]
+    sector = 0 if eps_even <= eps_odd + DEGENERACY_TOL else 1
+    x = _to_fock(spec.states[:, :, :1], params)[sector, :, 0]
+    state = np.concatenate([x, (1 - 2 * sector) * x[::-1]])
+    return min(eps_even, eps_odd), state / np.linalg.norm(state), sector
 
 
 def solve_ground(params):
     """Ground quasienergy and state of U_F, solved in its parity sectors.
 
-    Each sector block U_+- = A +- B R goes through spectrum(), so the
-    branch check covers every quasienergy of the full operator.  The
-    lower sector minimum wins, the even sector on a tie within
-    DEGENERACY_TOL; eps0 is the smaller minimum.  The state is the
-    winner's lowest vector x embedded as [x; +-x reversed], an exact
-    parity eigenstate, with unit norm to within one ulp.
+    Both sectors go through one stacked, real symmetric spectrum() call
+    (see the module docstring), so the branch check covers every
+    quasienergy of U_F.  The lower sector minimum wins, the even sector
+    on a tie within DEGENERACY_TOL; eps0 is the smaller minimum.  The
+    winner's lowest vector x, on the rung basis, is embedded as
+    [x; +-x reversed], an exact parity eigenstate with unit norm to
+    within one ulp.
     """
-    return _sector_ground(*_sector_spectra(params))
+    eps0, state, _ = _sector_ground(_sector_spectra(params), params)
+    return eps0, state

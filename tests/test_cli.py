@@ -1,12 +1,14 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import fockladder
 from fockladder.cli import (
     ENTROPY_PHI_MIN,
     RunConfig,
@@ -153,6 +155,24 @@ class TestRunScans:
         assert run(parse_args(argv + ["--out", str(first)])) == 0
         assert run(parse_args(argv + ["--out", str(second)])) == 0
         assert first.read_bytes() == second.read_bytes()
+
+    def test_blas_thread_count_does_not_change_the_data(self, tmp_path):
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(fockladder.__file__)))
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        tables = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"scan-{threads}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "fockladder", "current-scan", "--n", "20",
+                 "--phi-points", "11", "--out", str(out)],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path},
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            rows = list(csv.reader(out.read_text().splitlines()))[1:]
+            tables.append(np.array(rows, dtype=float))
+        assert tables[0].shape == (11, 3)
+        np.testing.assert_allclose(tables[1], tables[0], rtol=0, atol=1e-12)
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "scan.json"

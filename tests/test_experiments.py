@@ -28,6 +28,7 @@ from fockladder.observables import (
     chiral_current_normalized,
     entanglement_entropy_numeric,
     fock_density_phase,
+    phase_energy_density,
 )
 
 XI = 0.5
@@ -303,6 +304,18 @@ class TestBandPanels:
         eps0, state = solve_ground(params)
         assert panel.ground_quasienergy == eps0
         np.testing.assert_array_equal(panel.ground_density, fock_density_phase(state).density)
+
+    @pytest.mark.parametrize("n_bosons", [20, 100])
+    def test_eigenstate_zero_is_the_solve_ground_state(self, n_bosons):
+        # On a doublet tied within DEGENERACY_TOL the odd member's minimum
+        # can sort first by rounding; eigenstate 0 is still the member
+        # solve_ground picks.  At N=20, phi >= 1.42 the two members' phase
+        # densities differ by ~1e-4; at N=100 by ~1e-13.
+        for panel in band_panels(n_bosons, XI, flux_list=np.linspace(1.0, 1.57, 20)):
+            eps0, state = solve_ground(SystemParams(n=n_bosons, mu=0.0, xi=XI, phi=panel.flux))
+            expected = np.stack([phase_energy_density(state, m, panel.thetas) for m in (-1, 1)])
+            assert panel.ground_quasienergy == eps0 == panel.quasienergies[0]
+            np.testing.assert_allclose(panel.density[:, 0], expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n_bosons", [8, 100])
     def test_quasienergies_match_full_space_spectrum(self, n_bosons):

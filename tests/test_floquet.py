@@ -13,6 +13,7 @@ from fockladder.floquet import (
     solve_ground,
     spectrum,
 )
+from fockladder.floquet import _sector_spectra
 from fockladder.lattice import (
     SIGMA_X,
     SIGMA_Z,
@@ -41,6 +42,30 @@ def brute_force_floquet(params):
     e3 = expm(-1j * (sz2_term - flux_term))
     e4 = expm(1j * (p.n * p.xi * p.tau / 2.0) * np.kron(SIGMA_X, eye_bec))
     return e1 @ e2 @ e3 @ e4
+
+
+def synthetic_unitary(phases, symmetric, seed=0):
+    """V diag(e^{i phases}) V^dagger with V random: real orthogonal, the
+    product then symmetrised exactly, or complex unitary."""
+    rng = np.random.default_rng(seed)
+    size = len(phases)
+    z = rng.standard_normal((size, size))
+    if not symmetric:
+        z = z + 1j * rng.standard_normal((size, size))
+    v, _ = np.linalg.qr(z)
+    u = (v * np.exp(1j * np.asarray(phases))) @ v.conj().T
+    return 0.5 * (u + u.T) if symmetric else u
+
+
+def adapted_basis(n_bosons):
+    """Dense Q = (e_0, (e_n + e_-n)/sqrt2, i (e_n - e_-n)/sqrt2), n = 1 .. N/2."""
+    size, half = n_bosons + 1, n_bosons // 2
+    q = np.zeros((size, size), dtype=complex)
+    q[half, 0] = 1.0
+    for k in range(1, half + 1):
+        q[half + k, k] = q[half - k, k] = np.sqrt(0.5)
+        q[half + k, half + k], q[half - k, half + k] = 1j * np.sqrt(0.5), -1j * np.sqrt(0.5)
+    return q
 
 
 class TestSystemParams:
@@ -178,6 +203,59 @@ class TestSpectrum:
         with pytest.raises(BranchAmbiguityError, match="folding boundary"):
             spectrum(u, 0.01)
 
+    def test_symmetric_branch_matches_general_branch(self):
+        # P U P^dagger with a diagonal phase P has U's spectrum but is not
+        # symmetric, so it takes the general complex branch.
+        tau = 0.01
+        phases = np.linspace(-3.0, 3.0, 12)
+        u = synthetic_unitary(phases, symmetric=True)
+        gauge = np.exp(1j * np.arange(phases.size))
+        general = gauge[:, None] * u * gauge.conj()
+        assert np.array_equal(u, u.T) and not np.array_equal(general, general.T)
+        real, complex_ = spectrum(u, tau), spectrum(general, tau)
+        assert np.isrealobj(real.states) and np.iscomplexobj(complex_.states)
+        np.testing.assert_allclose(real.quasienergies * tau, np.sort(-phases), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(real.quasienergies * tau, complex_.quasienergies * tau,
+                                   rtol=0, atol=1e-12)
+        for op, spec in ((u, real), (general, complex_)):
+            phases_out = np.exp(-1j * spec.quasienergies * tau)
+            assert np.abs(op @ spec.states - spec.states * phases_out).max() < 1e-12
+
+    def test_symmetric_operator_near_zone_edge_takes_general_transform(self):
+        # Near pi the real transform loses digits to the double zero of
+        # 1 + cos(eps tau), and the general transform takes over.
+        tau = 0.01
+        phases = np.append(np.linspace(-3.0, 2.9, 11), np.pi - 1e-4)
+        u = synthetic_unitary(phases, symmetric=True)
+        spec = spectrum(u, tau)
+        assert np.iscomplexobj(spec.states)
+        np.testing.assert_allclose(spec.quasienergies * tau, np.sort(-phases), rtol=0, atol=1e-10)
+        phases_out = np.exp(-1j * spec.quasienergies * tau)
+        assert np.abs(u @ spec.states - spec.states * phases_out).max() < 1e-8
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "general"])
+    @pytest.mark.parametrize("offset", [0.0, 1e-10])
+    def test_branch_ambiguity_on_both_branches(self, symmetric, offset):
+        u = synthetic_unitary([np.pi - offset, 0.0, 0.5 * np.pi], symmetric)
+        with pytest.raises(BranchAmbiguityError, match="folding boundary"):
+            spectrum(u, 0.01)
+
+    def test_stacked_call_equals_single_calls(self):
+        tau = 0.01
+        points = [SystemParams(n=8, mu=0.3, xi=0.5, phi=phi) for phi in (0.2, 1.1, 1.5)]
+        stacks = (
+            [build_floquet(p) for p in points],
+            [synthetic_unitary(np.linspace(-2.0, 2.5, 9), True, seed) for seed in range(3)],
+        )
+        for ops in stacks:
+            stacked = spectrum(np.stack(ops), tau)
+            assert stacked.quasienergies.shape == (3, ops[0].shape[0])
+            for k, op in enumerate(ops):
+                single = spectrum(op, tau)
+                np.testing.assert_allclose(stacked.quasienergies[k], single.quasienergies,
+                                           rtol=1e-14, atol=0)
+                np.testing.assert_allclose(stacked.states[k], single.states, rtol=0, atol=1e-13)
+
     def test_accepts_phase_clear_of_zone_edge(self):
         u = np.diag([np.exp(1j * (np.pi - 1e-7)), 1.0, 1.0j])
         spec = spectrum(u, 0.01)
@@ -235,6 +313,29 @@ class TestSolveGround:
             assert chiral_current_normalized(state, phi) == pytest.approx(
                 chiral_current_normalized(full_state, phi), abs=1e-12
             )
+
+    @pytest.mark.parametrize("n", [8, 20, 100])
+    @pytest.mark.parametrize("mu, xi, phi", [(-0.45, 0.5, 0.3), (0.0, 0.5, 1.4), (5.0, 1.3, 0.9)])
+    def test_sector_operators_symmetric_in_the_symmetric_frame(self, n, mu, xi, phi):
+        # U' = E4^{1/2} U_F E4^{-1/2} in full space, restricted to each parity
+        # sector as U'_LL +- U'_LR R and taken to the adapted basis, is
+        # symmetric before any symmetrising; without the frame change it is
+        # not.  The sector spectra are eigenpairs of it.
+        params = SystemParams(n=n, mu=mu, xi=xi, phi=phi)
+        size = n + 1
+        q, reversal = adapted_basis(n), np.eye(size)[::-1]
+        half_e4 = expm(0.25j * n * xi * params.tau * np.kron(SIGMA_X, np.eye(size)))
+        u = build_floquet(params)
+        framed = half_e4 @ u @ half_e4.conj().T
+        spec = _sector_spectra(params)
+        assert np.isrealobj(spec.states)
+        for k, sign in enumerate((1.0, -1.0)):
+            w = q.conj().T @ (framed[:size, :size] + sign * framed[:size, size:] @ reversal) @ q
+            assert np.abs(w - w.T).max() <= 1e-14
+            plain = q.conj().T @ (u[:size, :size] + sign * u[:size, size:] @ reversal) @ q
+            assert np.abs(plain - plain.T).max() >= 1e-4
+            phases = np.exp(-1j * spec.quasienergies[k] * params.tau)
+            assert np.abs(w @ spec.states[k] - spec.states[k] * phases).max() <= 1e-12
 
     @pytest.mark.parametrize(
         "params, doublet",
