@@ -9,7 +9,6 @@ assignment is refused rather than silently wrong.
 """
 
 import numpy as np
-from scipy.linalg import expm
 
 from fockladder import (
     BranchAmbiguityError,
@@ -23,8 +22,9 @@ from fockladder import (
 
 def defect(params):
     u = build_floquet(params)
-    h = build_heff(params)
-    return np.linalg.norm(u - expm(-1j * params.tau * h), 2)
+    # exp(-i H_eff tau) from the eigendecomposition of the Hermitian H_eff.
+    w, v = np.linalg.eigh(build_heff(params))
+    return np.linalg.norm(u - (v * np.exp(-1j * params.tau * w)) @ v.conj().T, 2)
 
 
 def main():

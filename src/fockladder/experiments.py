@@ -281,13 +281,13 @@ def interaction_scan(n_bosons, xi, tau=0.01, mu_grid=None, phi_grid=None):
     return rows
 
 
-def _refine_interaction_peak(rows, n_bosons, xi, tau, phi_grid):
+def _refine_interaction_peak(rows, n_bosons, xi, tau, flux_grid):
     # Polish the interaction maximum of interaction_scan rows by a
     # bounded Brent search over mu between the grid neighbours of the
     # discrete maximum (the peak narrows below the default grid step
     # once N reaches ~80).  Each evaluation is a flux-peak search in a
-    # window, warm at the grid maximum's peak flux.  Returns
-    # (mu_max, max_jc).
+    # window, warm at the grid maximum's peak flux.  flux_grid is the
+    # checked scan grid, at least 2 points.  Returns (mu_max, max_jc).
     mu_values = np.array([row[0] for row in rows])
     peak_phis = np.array([row[1] for row in rows])
     peaks = np.array([row[2] for row in rows])
@@ -302,7 +302,6 @@ def _refine_interaction_peak(rows, n_bosons, xi, tau, phi_grid):
     # drifts slowly with mu, so a window around the coarse-grid peak
     # flux, wide enough to cover that drift across the bracket and any
     # secondary bump beside it, is much cheaper than the full grid.
-    flux_grid = _check_phi_grid(DEFAULT_PHI_GRID if phi_grid is None else phi_grid)
     flux_step = float(np.median(np.diff(flux_grid)))
     local = peak_phis[k - 1:k + 2]
     halfwidth = float(local.max() - local.min()) + 2.0 * flux_step
@@ -327,8 +326,11 @@ def find_mu_max(n_bosons, xi, tau=0.01, mu_grid=None, phi_grid=None):
     (mu_max, max_jc, rows): the current in 2 J_C/(N J) units and the
     interaction_scan rows the maximum was refined from.
     """
-    rows = interaction_scan(n_bosons, xi, tau, mu_grid, phi_grid)
-    mu_max, max_jc = _refine_interaction_peak(rows, n_bosons, xi, tau, phi_grid)
+    grid = _check_phi_grid(DEFAULT_PHI_GRID if phi_grid is None else phi_grid)
+    if grid.size < 2:
+        raise ValueError("flux grid needs at least 2 points: its step sets the mu polish window")
+    rows = interaction_scan(n_bosons, xi, tau, mu_grid, grid)
+    mu_max, max_jc = _refine_interaction_peak(rows, n_bosons, xi, tau, grid)
     return mu_max, max_jc, rows
 
 

@@ -48,13 +48,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .lattice import (
     SIGMA_X,
     SIGMA_Z,
     _check_boson_number,
-    _splus_couplings,
     build_sx,
     build_sy,
     dim_bec,
@@ -156,9 +154,7 @@ def physical_to_effective(n, u, w, j, k, omega, tau=0.01):
 
 @lru_cache(maxsize=16)
 def _sx_eigensystem(n_bosons):
-    # S_x is real symmetric tridiagonal with zero diagonal.
-    c = _splus_couplings(n_bosons) / 2.0
-    w, v = eigh_tridiagonal(np.zeros(n_bosons + 1), c)
+    w, v = np.linalg.eigh(build_sx(n_bosons).real)
     w.setflags(write=False)
     v.setflags(write=False)
     return w, v
@@ -252,7 +248,11 @@ def _cayley_eigh(u):
         raise BranchAmbiguityError(
             "quasienergy at the folding boundary |eps|*tau = pi; shrink tau"
         ) from exc
-    return np.linalg.eigh(transform)
+    # Rounding leaves the transform an anti-Hermitian part growing like h^2
+    # ulps; eigh of its Hermitian part keeps that out of the eigenvalues.
+    transform += np.conj(_transpose(transform))
+    tangents, vectors = np.linalg.eigh(transform)
+    return 0.5 * tangents, vectors
 
 
 def spectrum(floquet_op, tau):

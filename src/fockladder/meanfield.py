@@ -20,8 +20,9 @@ phi in [0, pi/2], the domain where the transition lives.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import xlogy
 
 __all__ = [
     "band_energy",
@@ -155,4 +156,4 @@ def entropy_analytic(phi, xi):
     ratio = xi / (s * np.sqrt(xi**2 + s**2))
     f_plus = np.clip(0.5 * (1.0 + ratio), 0.0, 1.0)
     f_minus = np.clip(0.5 * (1.0 - ratio), 0.0, 1.0)
-    return float(-(xlogy(f_plus, f_plus) + xlogy(f_minus, f_minus))) + 0.0
+    return float(-sum(f * math.log(f) for f in (f_plus, f_minus) if f > 0.0)) + 0.0

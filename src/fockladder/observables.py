@@ -9,10 +9,10 @@ chiral current, the impurity entanglement entropy and rung moments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .lattice import _check_boson_number, _splus_couplings, rung_values
 
@@ -149,7 +149,7 @@ def entanglement_entropy_numeric(state):
     psi = np.vstack([left, right])
     rho = psi @ psi.conj().T
     weights = np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0)
-    return float(-np.sum(xlogy(weights, weights)))
+    return float(-sum(w * math.log(w) for w in weights if w > 0.0))
 
 
 def rung_second_moment(state):

@@ -136,6 +136,17 @@ class TestFindMuMax:
                 phi_grid=np.linspace(0.0, 1.5, 9),
             )
 
+    def test_one_point_flux_grid_rejected_before_any_solve(self, monkeypatch):
+        # Its step, which sets the polish window, is undefined.
+        calls = []
+        monkeypatch.setattr(experiments, "solve_ground", calls.append)
+        mu_grid = np.linspace(-0.7, -0.2, 6)
+        with pytest.raises(ValueError, match="flux grid needs at least 2 points"):
+            find_mu_max(8, XI, mu_grid=mu_grid, phi_grid=[0.6])
+        with pytest.raises(ValueError, match="flux grid needs at least 2 points"):
+            finite_size_extrapolation(ns=(8, 10, 12), xi=XI, mu_grid=mu_grid, phi_grid=[0.6])
+        assert calls == []
+
     def test_coarse_and_fine_interaction_grids_agree(self):
         # The refined maximum must not depend on the starting grid
         # resolution (measured 3.0e-6 apart).

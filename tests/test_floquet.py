@@ -233,6 +233,25 @@ class TestSpectrum:
         phases_out = np.exp(-1j * spec.quasienergies * tau)
         assert np.abs(u @ spec.states - spec.states * phases_out).max() < 1e-8
 
+    @pytest.mark.parametrize(
+        "symmetric, offset",
+        [(True, 1e-7), (False, 1e-7), (False, 1e-4)],
+        ids=["symmetric-1e-7", "general-1e-7", "general-1e-4"],
+    )
+    def test_phase_near_zone_edge_leaves_other_quasienergies_exact(self, symmetric, offset):
+        # The complex transform's anti-Hermitian rounding part grows like
+        # h^2 ulps; unless eigh sees only the Hermitian part, one phase at
+        # pi - 1e-7 (still accepted) shifts every other one by up to 2e-2.
+        # The symmetric case at pi - 1e-4 is the test above.
+        tau = 0.01
+        phases = np.append(np.linspace(-3.0, 2.9, 11), np.pi - offset)
+        for seed in range(4):
+            u = synthetic_unitary(phases, symmetric, seed)
+            spec = spectrum(u, tau)
+            np.testing.assert_allclose(spec.quasienergies * tau, np.sort(-phases), rtol=0, atol=1e-8)
+            phases_out = np.exp(-1j * spec.quasienergies * tau)
+            assert np.abs(u @ spec.states - spec.states * phases_out).max() < 1e-8
+
     @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "general"])
     @pytest.mark.parametrize("offset", [0.0, 1e-10])
     def test_branch_ambiguity_on_both_branches(self, symmetric, offset):
