@@ -9,7 +9,7 @@ window around phi_c, where finite-size rounding dominates.
 
 import numpy as np
 
-from fockladder import critical_flux, entropy_scan
+from fockladder import DEFAULT_PHI_GRID, critical_flux, scan_flux
 
 N_BOSONS = 100
 XI = 0.5
@@ -17,7 +17,7 @@ XI = 0.5
 
 def main():
     phi_c = critical_flux(XI)
-    records = entropy_scan(N_BOSONS, XI)
+    records = scan_flux(N_BOSONS, 0.0, XI, phi_grid=DEFAULT_PHI_GRID[1:])
 
     print(f"N = {N_BOSONS}, xi = {XI}, mu = 0, phi_c = {phi_c:.4f}")
     print()

@@ -65,7 +65,6 @@ from .experiments import (
     analytic_pair,
     band_panels,
     default_fluxes,
-    entropy_scan,
     find_mu_max,
     finite_size_extrapolation,
     fit_inverse_size,

@@ -33,7 +33,6 @@ from .experiments import (
     GUARD_POINTS,
     analytic_pair,
     band_panels,
-    entropy_scan,
     find_mu_max,
     finite_size_extrapolation,
     scan_flux,
@@ -385,7 +384,7 @@ def _cmd_bands(config):
                 rungs[k], panel.ground_density[0, k], panel.ground_density[1, k],
                 phase[0][k], phase[1][k],
             ])
-    payload = {
+    payload = None if config.format == "csv" else {
         "panels": [
             {
                 "flux": panel.flux,
@@ -443,19 +442,26 @@ def _mu_grid(config):
     return np.linspace(config.mu_min, config.mu_max, config.mu_points)
 
 
-def _cmd_current_scan(config):
+# The flux scans write one observable pair each of the same scan_flux
+# records: command -> (observable, unit, summary label, result keys in
+# order, each with its column in the [phi, numeric, analytic] row).
+_FLUX_SCANS = {
+    "current-scan": ("jc", "2J_C/(N J)", "peak jc", (("peak_phi", 0), ("peak_jc", 1))),
+    "entropy-scan": ("entropy", "nats", "max entropy", (("max_entropy", 1), ("argmax_phi", 0))),
+}
+
+
+def _cmd_flux_scan(config):
+    name, unit, label, keys = _FLUX_SCANS[config.command]
     records = scan_flux(config.n, config.mu, config.xi, tau=config.tau,
                         phi_grid=_phi_grid(config))
-    header = ["phi [rad]", "jc_numeric [2J_C/(N J)]", "jc_analytic [2J_C/(N J)]"]
-    rows = [[r.params.phi, r.jc_numeric, r.jc_analytic] for r in records]
-    best = max(records, key=lambda r: r.jc_numeric)
-    result = {
-        "peak_phi": best.params.phi,
-        "peak_jc": best.jc_numeric,
-        "points": len(records),
-    }
-    line = (f"current-scan: {len(records)} fluxes, "
-            f"peak jc={best.jc_numeric:.10g} at phi={best.params.phi:.10g}")
+    header = ["phi [rad]", f"{name}_numeric [{unit}]", f"{name}_analytic [{unit}]"]
+    rows = [[r.params.phi, getattr(r, f"{name}_numeric"), getattr(r, f"{name}_analytic")]
+            for r in records]
+    best = max(rows, key=lambda row: row[1])
+    result = dict([(key, best[column]) for key, column in keys], points=len(rows))
+    line = (f"{config.command}: {len(rows)} fluxes, "
+            f"{label}={best[1]:.10g} at phi={best[0]:.10g}")
     return header, rows, None, result, [line]
 
 
@@ -495,22 +501,6 @@ def _cmd_fss(config):
     return header, rows, None, result, [line]
 
 
-def _cmd_entropy_scan(config):
-    records = entropy_scan(config.n, config.xi, tau=config.tau,
-                           phi_grid=_phi_grid(config))
-    header = ["phi [rad]", "entropy_numeric [nats]", "entropy_analytic [nats]"]
-    rows = [[r.params.phi, r.entropy_numeric, r.entropy_analytic] for r in records]
-    best = max(records, key=lambda r: r.entropy_numeric)
-    result = {
-        "max_entropy": best.entropy_numeric,
-        "argmax_phi": best.params.phi,
-        "points": len(records),
-    }
-    line = (f"entropy-scan: {len(records)} fluxes, "
-            f"max entropy={best.entropy_numeric:.10g} at phi={best.params.phi:.10g}")
-    return header, rows, None, result, [line]
-
-
 def _cmd_validate(config):
     checks = run_invariant_suite()
     header = ["check [name]", "passed [bool]", "detail [text]"]
@@ -532,10 +522,10 @@ def _cmd_validate(config):
 _COMMANDS = {
     "bands": _cmd_bands,
     "ground": _cmd_ground,
-    "current-scan": _cmd_current_scan,
+    "current-scan": _cmd_flux_scan,
     "mu-scan": _cmd_mu_scan,
     "fss": _cmd_fss,
-    "entropy-scan": _cmd_entropy_scan,
+    "entropy-scan": _cmd_flux_scan,
     "validate": _cmd_validate,
 }
 

@@ -3,9 +3,9 @@
 Each experiment drives the Floquet engine across a parameter grid and
 pairs the numeric ground-state observables with their closed-form
 mean-field values computed at identical parameters: flux scans of the
-chiral current, interaction scans for the current maximum, the
-finite-size extrapolation of the maximum toward the critical
-attraction, entropy scans and the band/density panels.
+chiral current and impurity entropy, interaction scans for the current
+maximum, the finite-size extrapolation of the maximum toward the
+critical attraction and the band/density panels.
 
 Scans are deterministic: given the same grids they produce identical
 records in identical order, which is what makes rerun output
@@ -49,7 +49,6 @@ __all__ = [
     "find_mu_max",
     "fit_inverse_size",
     "finite_size_extrapolation",
-    "entropy_scan",
     "default_fluxes",
     "band_panels",
 ]
@@ -73,17 +72,18 @@ POLISH_XATOL = 1e-9
 
 @dataclass(frozen=True)
 class ScanRecord:
-    """Numeric/analytic observable pair at one parameter point.
+    """Numeric/analytic pairs of both observables at one parameter point.
 
     jc fields hold the normalized current 2 J_C/(N J); entropy fields
-    are in nats.  Fields a scan does not produce stay None.
+    are in nats.  An analytic field is None where its closed form does
+    not apply (see analytic_pair).
     """
 
     params: SystemParams
-    jc_numeric: float | None = None
-    jc_analytic: float | None = None
-    entropy_numeric: float | None = None
-    entropy_analytic: float | None = None
+    jc_numeric: float
+    jc_analytic: float | None
+    entropy_numeric: float
+    entropy_analytic: float | None
 
 
 @dataclass(frozen=True)
@@ -118,67 +118,65 @@ class BandPanel:
     ground_phase: np.ma.MaskedArray
 
 
-def _solve_or_abort(solver, params, where, *position):
-    # solver(params), re-raising a branch ambiguity with the scan
-    # position filled into `where`; formatted only on failure, since
-    # scans call this tens of thousands of times.
+def _solve_at(solver, where, n_bosons, mu, xi, tau, phi):
+    # (params, solver(params)) at one scan point, re-raising a branch ambiguity
+    # with the point's mu and phi filled into `where`; formatted only on
+    # failure, since scans call this tens of thousands of times.
+    params = SystemParams(n=n_bosons, mu=float(mu), xi=xi, phi=float(phi), tau=tau)
     try:
-        return solver(params)
+        return params, solver(params)
     except BranchAmbiguityError as exc:
-        raise BranchAmbiguityError(f"{where.format(*position)}: {exc}") from exc
+        raise BranchAmbiguityError(f"{where.format(mu=mu, phi=phi)}: {exc}") from exc
 
 
 def analytic_pair(phi, xi):
     """Closed-form (jc, entropy) at one flux, None where a form does not apply.
 
-    Both forms hold on 0 <= phi <= pi/2; the entropy form is singular
-    at zero flux, where only the current's (0.0) is returned.
+    Both forms hold on 0 <= phi <= pi/2 for coupled legs (xi > 0); the
+    entropy form is singular at zero flux, where only the current's
+    (0.0) is returned.
     """
-    if not 0.0 <= phi <= np.pi / 2.0:
+    if xi == 0.0 or not 0.0 <= phi <= np.pi / 2.0:
         return None, None
     entropy = entropy_analytic(phi, xi) if np.sin(phi) != 0.0 else None
     return chiral_current_analytic(phi, xi), entropy
 
 
-def _check_phi_grid(grid, allow_zero=True):
+def _check_phi_grid(grid):
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("flux grid is empty")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("flux grid must be strictly ascending")
-    low = 0.0 if allow_zero else np.nextafter(0.0, 1.0)
-    if grid[0] < low or grid[-1] > np.pi / 2.0 + 1e-12:
-        raise ValueError(
-            f"flux grid [{grid[0]}, {grid[-1]}] outside "
-            f"{'[0' if allow_zero else '(0'}, pi/2]"
-        )
+    if grid[0] < 0.0 or grid[-1] > np.pi / 2.0 + 1e-12:
+        raise ValueError(f"flux grid [{grid[0]}, {grid[-1]}] outside [0, pi/2]")
     return grid
 
 
 def scan_flux(n_bosons, mu, xi, tau=0.01, phi_grid=None):
-    """Chiral current versus flux, numeric against analytic.
+    """Chiral current and impurity entropy versus flux, numeric against analytic.
 
-    Returns one ScanRecord per grid flux, ascending.  A branch
-    ambiguity anywhere aborts the scan naming the offending flux.
+    Returns one ScanRecord per grid flux, ascending, each holding both
+    observable pairs of the same ground state.  The analytic entropy is
+    singular at zero flux, so an entropy scan starts one grid step in
+    (phi_grid=DEFAULT_PHI_GRID[1:]).  A branch ambiguity anywhere
+    aborts the scan naming the offending flux.
     """
     grid = _check_phi_grid(DEFAULT_PHI_GRID if phi_grid is None else phi_grid)
 
     def point(phi):
-        params = SystemParams(n=n_bosons, mu=mu, xi=xi, phi=float(phi), tau=tau)
-        _, state = _solve_or_abort(solve_ground, params, "flux scan aborted at phi={}", phi)
+        where = "flux scan aborted at phi={phi}"
+        params, (_, state) = _solve_at(solve_ground, where, n_bosons, mu, xi, tau, phi)
+        jc, entropy = analytic_pair(params.phi, xi)
         return ScanRecord(
             params=params,
             jc_numeric=chiral_current_normalized(state, params.phi),
-            jc_analytic=chiral_current_analytic(params.phi, xi),
+            jc_analytic=jc,
+            entropy_numeric=entanglement_entropy_numeric(state),
+            entropy_analytic=entropy,
         )
 
     return [point(phi) for phi in grid]
-
-
-def _current(n_bosons, mu, xi, tau, phi):
-    params = SystemParams(n=n_bosons, mu=float(mu), xi=xi, phi=float(phi), tau=tau)
-    _, state = _solve_or_abort(solve_ground, params, "interaction scan aborted at mu={}, phi={}", mu, phi)
-    return chiral_current_normalized(state, params.phi)
 
 
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
@@ -237,7 +235,9 @@ def _flux_peak(n_bosons, mu, xi, tau, grid, warm=None, xatol=PEAK_XATOL):
     # bracket (one guard step either side of `warm`) is the second
     # chance at a bump the guard merges.
     def current(phi):
-        return _current(n_bosons, mu, xi, tau, phi)
+        where = "interaction scan aborted at mu={mu}, phi={phi}"
+        params, (_, state) = _solve_at(solve_ground, where, n_bosons, mu, xi, tau, phi)
+        return chiral_current_normalized(state, params.phi)
 
     stride = max(1, math.ceil((grid.size - 1) / (GUARD_POINTS - 1)))
     guard = np.append(grid[:-1:stride], grid[-1])
@@ -326,6 +326,8 @@ def find_mu_max(n_bosons, xi, tau=0.01, mu_grid=None, phi_grid=None):
     (mu_max, max_jc, rows): the current in 2 J_C/(N J) units and the
     interaction_scan rows the maximum was refined from.
     """
+    if xi == 0.0:
+        raise ValueError("no current maximum at xi = 0: the legs decouple and j_c vanishes identically")
     grid = _check_phi_grid(DEFAULT_PHI_GRID if phi_grid is None else phi_grid)
     if grid.size < 2:
         raise ValueError("flux grid needs at least 2 points: its step sets the mu polish window")
@@ -378,28 +380,6 @@ def finite_size_extrapolation(ns=DEFAULT_NS, xi=0.5, tau=0.01, mu_grid=None, phi
     return fit_inverse_size(points), mu_maxes
 
 
-def entropy_scan(n_bosons, xi, tau=0.01, phi_grid=None):
-    """Impurity entanglement entropy versus flux at mu = 0.
-
-    The analytic pair is singular at zero flux, so the default grid
-    starts one step in.
-    """
-    grid = _check_phi_grid(
-        DEFAULT_PHI_GRID[1:] if phi_grid is None else phi_grid, allow_zero=False
-    )
-
-    def point(phi):
-        params = SystemParams(n=n_bosons, mu=0.0, xi=xi, phi=float(phi), tau=tau)
-        _, state = _solve_or_abort(solve_ground, params, "entropy scan aborted at phi={}", phi)
-        return ScanRecord(
-            params=params,
-            entropy_numeric=entanglement_entropy_numeric(state),
-            entropy_analytic=entropy_analytic(params.phi, xi),
-        )
-
-    return [point(phi) for phi in grid]
-
-
 def default_fluxes(xi):
     """The three panel fluxes phi_c/2, phi_c, 3 phi_c/2."""
     phi_c = critical_flux(xi)
@@ -415,8 +395,8 @@ def band_panels(n_bosons, xi, mu=0.0, tau=0.01, flux_list=None):
     fourier_t = np.exp(1j * np.multiply.outer(rung_values(n_bosons), thetas))
 
     def panel(flux):
-        params = SystemParams(n=n_bosons, mu=mu, xi=xi, phi=flux, tau=tau)
-        spec = _solve_or_abort(_sector_spectra, params, "band panel aborted at phi={}", flux)
+        where = "band panel aborted at phi={phi}"
+        params, spec = _solve_at(_sector_spectra, where, n_bosons, mu, xi, tau, flux)
         eps0, ground, sector = _sector_ground(spec, params)
         # Eigenstate 0 is the ground state, also where rounding sorts the
         # other doublet member's quasienergy below it.

@@ -265,8 +265,8 @@ def spectrum(floquet_op, tau):
     to the zone edge make the transform blow up; that is reported.
     """
     u = np.asarray(floquet_op)
-    if tau <= 0:
-        raise ValueError(f"kick interval tau must be > 0, got {tau}")
+    if not 0.0 < tau < np.inf:
+        raise ValueError(f"kick interval tau must be finite and > 0, got {tau}")
     tangents, vectors = _cayley_eigh(u)
     largest = np.abs(tangents).max()
     if largest >= _BRANCH_H_LIMIT:

@@ -12,8 +12,8 @@ import pytest
 from scipy.linalg import expm
 
 from fockladder.experiments import (
+    DEFAULT_PHI_GRID,
     band_panels,
-    entropy_scan,
     finite_size_extrapolation,
     scan_flux,
 )
@@ -101,7 +101,7 @@ def test_criterion_4_transition_coincidence(capsys):
 
 def test_criterion_5_entropy_agreement(capsys):
     budget, start = 60.0, time.perf_counter()
-    records = entropy_scan(100, XI)
+    records = scan_flux(100, 0.0, XI, phi_grid=DEFAULT_PHI_GRID[1:])
     gaps = np.array([abs(r.entropy_numeric - r.entropy_analytic) for r in records])
     fluxes = np.array([r.params.phi for r in records])
     outside = np.abs(fluxes - PHI_C) > 0.1

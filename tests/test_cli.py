@@ -194,6 +194,31 @@ class TestRunScans:
         assert run(config) == 0
         assert load_sidecar_config(tmp_path / "scan.csv.meta.json") == config
 
+    @pytest.mark.parametrize(
+        "command, header, keys",
+        [
+            ("current-scan", ["phi [rad]", "jc_numeric [2J_C/(N J)]", "jc_analytic [2J_C/(N J)]"],
+             ["peak_phi", "peak_jc", "points"]),
+            ("entropy-scan", ["phi [rad]", "entropy_numeric [nats]", "entropy_analytic [nats]"],
+             ["max_entropy", "argmax_phi", "points"]),
+        ],
+    )
+    def test_flux_scan_rows_and_summary(self, tmp_path, command, header, keys):
+        out = tmp_path / "scan.csv"
+        config = parse_args([command, "--n", "8", "--phi-min", "0.1", "--phi-points", "9",
+                             "--out", str(out)])
+        assert run(config) == 0
+        rows = list(csv.reader(out.read_text().splitlines()))
+        assert rows[0] == header
+        assert len(rows) == 1 + 9
+        result = json.loads((tmp_path / "scan.csv.meta.json").read_text())["result"]
+        assert list(result) == keys
+        table = np.array(rows[1:], dtype=float)
+        phi, value = table[int(np.argmax(table[:, 1])), :2]
+        summary = {"peak_phi": phi, "peak_jc": value, "argmax_phi": phi, "max_entropy": value,
+                   "points": 9}
+        assert result == {key: summary[key] for key in keys}
+
     def test_bands_json_nested_panels(self, tmp_path):
         out = tmp_path / "bands.json"
         config = parse_args(
@@ -245,6 +270,32 @@ class TestRunScans:
         assert [float(r[3]) for r in rows[1:]] == [abs(m - target) for m in mu_maxes]
         assert meta["result"]["intercept"] == fit.intercept
         assert meta["result"]["slope"] == fit.slope
+
+
+class TestDecoupledLegs:
+    # At xi = 0 the parser accepts the flag; no closed form applies.
+    def test_ground_leaves_analytic_null(self, tmp_path):
+        out = tmp_path / "g.csv"
+        assert run(parse_args(["ground", "--n", "8", "--xi", "0", "--phi", "0.5",
+                               "--out", str(out)])) == 0
+        result = json.loads((tmp_path / "g.csv.meta.json").read_text())["result"]
+        assert result["jc_analytic"] is None and result["entropy_analytic"] is None
+        assert result["jc_numeric"] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("command", ["current-scan", "entropy-scan"])
+    def test_flux_scan_leaves_analytic_cells_empty(self, tmp_path, command):
+        out = tmp_path / "scan.csv"
+        assert run(parse_args([command, "--n", "8", "--xi", "0", "--phi-min", "0.1",
+                               "--phi-points", "5", "--out", str(out)])) == 0
+        rows = list(csv.reader(out.read_text().splitlines()))[1:]
+        assert len(rows) == 5
+        assert all(row[1] != "" and row[2] == "" for row in rows)
+
+    def test_mu_scan_has_no_current_maximum(self, tmp_path, capsys):
+        config = parse_args(["mu-scan", "--n", "8", "--xi", "0", "--out", str(tmp_path / "m.csv")])
+        assert run(config) == 1
+        assert "xi = 0" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
 
 
 class TestRunErrors:

@@ -7,7 +7,6 @@ from fockladder.experiments import (
     analytic_pair,
     band_panels,
     default_fluxes,
-    entropy_scan,
     find_mu_max,
     finite_size_extrapolation,
     fit_inverse_size,
@@ -49,6 +48,14 @@ class TestScanFlux:
             assert record.params.n == 8
             assert record.params.xi == XI
 
+    def test_records_carry_both_observable_pairs(self):
+        # One solve per flux feeds the current and the entropy pair alike.
+        record = scan_flux(20, mu=0.0, xi=XI, phi_grid=[0.4])[0]
+        _, state = solve_ground(record.params)
+        assert record.jc_numeric == chiral_current_normalized(state, 0.4)
+        assert record.entropy_numeric == entanglement_entropy_numeric(state)
+        assert (record.jc_analytic, record.entropy_analytic) == analytic_pair(0.4, XI)
+
     def test_rejects_descending_grid(self):
         with pytest.raises(ValueError, match="ascending"):
             scan_flux(8, mu=0.0, xi=XI, phi_grid=[0.5, 0.4])
@@ -74,19 +81,27 @@ class TestGroundRecord:
     def test_entropy_analytic_none_at_zero_flux(self):
         assert analytic_pair(0.0, XI) == (0.0, None)
 
+    def test_analytic_fields_none_for_decoupled_legs(self):
+        # At xi = 0 neither closed form applies (both divide by xi).
+        for phi in (0.0, 0.4, np.pi / 2.0):
+            assert analytic_pair(phi, 0.0) == (None, None)
+
 
 class TestEntropyScan:
-    def test_rejects_zero_flux(self):
-        with pytest.raises(ValueError, match="outside"):
-            entropy_scan(8, XI, phi_grid=[0.0, 0.5])
+    # The entropy pair of scan_flux records at mu = 0.
+    def test_analytic_entropy_none_at_zero_flux(self):
+        records = scan_flux(8, 0.0, XI, phi_grid=[0.0, 0.5])
+        assert records[0].entropy_analytic is None
+        assert records[0].entropy_numeric == pytest.approx(0.0, abs=1e-10)
+        assert records[1].entropy_analytic == analytic_pair(0.5, XI)[1]
 
     def test_entropy_grows_across_transition(self):
         phi_c = critical_flux(XI)
-        records = entropy_scan(20, XI, phi_grid=[phi_c - 0.3, phi_c + 0.3])
+        records = scan_flux(20, 0.0, XI, phi_grid=[phi_c - 0.3, phi_c + 0.3])
         assert records[1].entropy_numeric > records[0].entropy_numeric
 
     def test_vanishes_toward_zero_flux(self):
-        records = entropy_scan(20, XI, phi_grid=[0.01])
+        records = scan_flux(20, 0.0, XI, phi_grid=[0.01])
         assert records[0].entropy_numeric == pytest.approx(0.0, abs=1e-3)
 
 
@@ -145,6 +160,16 @@ class TestFindMuMax:
             find_mu_max(8, XI, mu_grid=mu_grid, phi_grid=[0.6])
         with pytest.raises(ValueError, match="flux grid needs at least 2 points"):
             finite_size_extrapolation(ns=(8, 10, 12), xi=XI, mu_grid=mu_grid, phi_grid=[0.6])
+        assert calls == []
+
+    def test_decoupled_legs_rejected_before_any_solve(self, monkeypatch):
+        # At xi = 0 j_c vanishes identically: a maximum would be rounding noise.
+        calls = []
+        monkeypatch.setattr(experiments, "solve_ground", calls.append)
+        with pytest.raises(ValueError, match="xi = 0"):
+            find_mu_max(8, 0.0)
+        with pytest.raises(ValueError, match="xi = 0"):
+            finite_size_extrapolation(ns=(8, 10, 12), xi=0.0)
         assert calls == []
 
     def test_coarse_and_fine_interaction_grids_agree(self):
@@ -356,10 +381,6 @@ class TestBranchAbortMessages:
             BranchAmbiguityError, match=r"^interaction scan aborted at mu=-0.1, phi=0.5: edge$"
         ):
             interaction_scan(8, XI, mu_grid=[-0.1, 0.0, 0.1], phi_grid=[0.5])
-
-    def test_entropy_scan_names_the_flux(self, ambiguous):
-        with pytest.raises(BranchAmbiguityError, match=r"^entropy scan aborted at phi=0.5: edge$"):
-            entropy_scan(8, XI, phi_grid=[0.5])
 
     def test_band_panel_names_the_flux(self, ambiguous):
         with pytest.raises(BranchAmbiguityError, match=r"^band panel aborted at phi=0.5: edge$"):

@@ -192,6 +192,11 @@ class TestSpectrum:
         with pytest.raises(ValueError, match="tau"):
             spectrum(np.eye(4), 0.0)
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_rejects_nonfinite_tau(self, tau):
+        with pytest.raises(ValueError, match="tau"):
+            spectrum(np.eye(4), tau)
+
     def test_branch_ambiguity_at_zone_edge(self):
         # An eigenphase exactly at pi makes I + U singular.
         u = np.diag([np.exp(1j * np.pi), 1.0, 1.0j])
