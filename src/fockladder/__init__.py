@@ -30,7 +30,6 @@ from .floquet import (
     build_floquet,
     build_heff,
     ground_state,
-    physical_to_effective,
     solve_ground,
     spectrum,
 )

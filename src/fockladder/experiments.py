@@ -104,7 +104,7 @@ class BandPanel:
     bands on it; density[m_index, i, k] the phase density P_m(theta_k) of
     parity eigenstate i (m_index 0 = left leg, whose density at theta is
     the right leg's at -theta), in quasienergy order but with i = 0 the
-    solve_ground state, which the ground_* strips describe site by site.
+    solve_ground state to rounding, which the ground_* strips describe site by site.
     """
 
     flux: float
@@ -265,8 +265,10 @@ def interaction_scan(n_bosons, xi, tau=0.01, mu_grid=None, phi_grid=None):
 
     Returns a list of (mu, peak_phi, peak_jc) triples, one per grid
     interaction, with the current maximized over flux for each (guard +
-    warm bracket + bounded Brent, peak flux located to 1e-6).
+    warm bracket + bounded Brent, peak flux located to 1e-6); refused at xi = 0.
     """
+    if xi == 0.0:
+        raise ValueError("no current maximum at xi = 0: the legs decouple and j_c vanishes identically")
     mu_values = np.asarray(DEFAULT_MU_GRID if mu_grid is None else mu_grid, dtype=float)
     if mu_values.size < 3:
         raise ValueError("interaction grid needs at least 3 points")
@@ -322,12 +324,10 @@ def find_mu_max(n_bosons, xi, tau=0.01, mu_grid=None, phi_grid=None):
     bounded Brent search over mu, maximizing over flux at each step.
     Near mu_max the flux peak is a jump where the two parity sectors'
     lowest quasienergies cross, so those flux searches are located to
-    1e-9.  Returns
+    1e-9.  interaction_scan refuses xi = 0 before any solve.  Returns
     (mu_max, max_jc, rows): the current in 2 J_C/(N J) units and the
     interaction_scan rows the maximum was refined from.
     """
-    if xi == 0.0:
-        raise ValueError("no current maximum at xi = 0: the legs decouple and j_c vanishes identically")
     grid = _check_phi_grid(DEFAULT_PHI_GRID if phi_grid is None else phi_grid)
     if grid.size < 2:
         raise ValueError("flux grid needs at least 2 points: its step sets the mu polish window")

@@ -17,13 +17,8 @@ with
 the flux-ladder Hamiltonian whose ground state carries the chiral
 current studied by the experiment layer.
 
-Quasienergies are extracted through the Cayley transform
-M = i (I - U)(I + U)^{-1}, which is Hermitian for unitary U and maps
-eigenphases to h = -tan(eps tau / 2).  A Hermitian eigensolve then
-gives orthonormal eigenvectors even inside degenerate clusters, and
-eps = -2 atan(h)/tau lands in the principal zone automatically.  The
-sign convention eps_i = -arg(lambda_i)/tau makes quasienergies order
-like energies of H_eff, so "ground state" means minimal eps.
+Quasienergies eps = -arg(lambda)/tau, in (-pi/tau, pi/tau], order like
+energies of H_eff: "ground state" means minimal eps.
 
 U_F commutes with the parity Pi = sigma_x (x) R, R: n -> -n, so every
 pipeline solves its two parity sectors instead of the full ladder.  On
@@ -34,16 +29,25 @@ time reversal T = sigma_x K gives T U' T^{-1} = U'^dagger (U_F misses it
 by O(tau)).  On the R-adapted basis Q = (e_0, (e_n + e_-n)/sqrt2,
 i (e_n - e_-n)/sqrt2), where R is diagonal and the frame change a phase,
 T is complex conjugation, so each sector operator is a complex
-symmetric unitary X + iY with the real symmetric Cayley transform
-(I + X)^{-1} Y.  The lower sector minimum is the ground state, the even
-sector on a tie within DEGENERACY_TOL (a vortex doublet).  build_floquet,
-the general branch of spectrum and ground_state are the full-space
-reference route.
+symmetric unitary W = X + iY.  Then X^2 + Y^2 = I and XY = YX, so
+W = O diag(exp(-i eps tau)) O^T with O real orthogonal from eigh(Y):
+lambda_Y = -sin(eps tau) and diag(O^T X O) = cos(eps tau).  Phases a and
+pi - a share a sine and mix in eigh(Y); O^T X O is then not diagonal and
+W takes the Hermitian Cayley transform i (I - U)(I + U)^{-1}, the route of
+every non-symmetric unitary.
+
+solve_ground needs one eigenpair.  A Cholesky factorization of
+X - _COS_FLOOR I certifies every cos(eps tau) > _COS_FLOOR, so a sector's
+minimum -arcsin(lambda_Y)/tau is at its top eigenvalue of Y, and inverse
+iteration gives the winner's vector; where that fails (large mu N tau,
+e.g. N=100, mu=5) both sector spectra are solved in full.  The lower
+minimum wins, the even sector on a tie within DEGENERACY_TOL (a vortex
+doublet).  build_floquet, the general branch of spectrum and
+ground_state are the full-space reference route.
 """
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -65,7 +69,6 @@ __all__ = [
     "Spectrum",
     "BranchAmbiguityError",
     "DEGENERACY_TOL",
-    "physical_to_effective",
     "build_floquet",
     "build_heff",
     "spectrum",
@@ -76,14 +79,15 @@ __all__ = [
 # Two quasienergies closer than this are treated as one degenerate doublet.
 DEGENERACY_TOL = 1e-10
 
-# |h| = |tan(eps tau / 2)| at |eps tau| = pi - 1e-9; beyond it the folded
-# phase cannot be distinguished from the zone edge in double precision.
-_BRANCH_H_LIMIT = 2.0e9
-
-# (I + X)^{-1} Y divides by 1 + cos(eps tau), a double zero at the zone edge,
-# and within ~3e-8 of it loses every eigenphase.  Its skew part (~h^2 ulps:
-# <1e-10 to |eps tau| = pi - 1e-2, >5e-8 once lost) shows when to go complex.
-_REAL_SKEW_LIMIT = 1.0e-8
+# Within this of |eps tau| = pi the branch of eps is not determined.
+_BRANCH_MARGIN = 1e-9
+# Off-diagonal |X O - O diag(c)| of an eigh(Y) basis O: <=3e-15 on the sector
+# operators, 6e-11 on bands at N=400, ~0.5 where phases a, pi - a mix.
+_MIXING_LIMIT = 1e-8
+# arcsin amplifies the rounding of lambda_Y by 1/cos(eps tau) <= 1/_COS_FLOOR.
+_COS_FLOOR = 0.05
+# |Y v - lambda v| accepted from inverse iteration (reads <=2e-15 to N=200).
+_RESIDUAL_LIMIT = 1e-12
 
 
 class BranchAmbiguityError(RuntimeError):
@@ -127,29 +131,6 @@ class Spectrum:
 
     quasienergies: np.ndarray
     states: np.ndarray
-
-
-def physical_to_effective(n, u, w, j, k, omega, tau=0.01):
-    """Map lab couplings to the effective parameters.
-
-    u is the boson-boson interaction, w the drive amplitude, j and k
-    the condensate and impurity tunnelings and omega the drive
-    frequency.  Pure arithmetic: mu = pi u n / (j omega tau),
-    xi = k / j, phi = 2 w / omega; invertible given (j, omega, tau, n).
-    """
-    if j <= 0:
-        raise ValueError(f"tunneling j must be > 0, got {j}")
-    if omega <= 0:
-        raise ValueError(f"drive frequency omega must be > 0, got {omega}")
-    if tau <= 0:
-        raise ValueError(f"kick interval tau must be > 0, got {tau}")
-    return SystemParams(
-        n=n,
-        mu=np.pi * u * n / (j * omega * tau),
-        xi=k / j,
-        phi=2.0 * w / omega,
-        tau=tau,
-    )
 
 
 @lru_cache(maxsize=16)
@@ -232,51 +213,55 @@ def _transpose(a):
     return np.swapaxes(a, -1, -2)
 
 
+def _symmetric_eigh(u):
+    # (eps tau, vectors), ascending, of a symmetric unitary U = X + iY from
+    # eigh(Y) and diag(O^T X O); None where O^T X O is not diagonal.
+    sines, vectors = np.linalg.eigh(u.imag)
+    x_vectors = u.real @ vectors
+    cosines = np.einsum("...ij,...ij->...j", vectors, x_vectors)
+    if np.abs(x_vectors - vectors * cosines[..., None, :]).max() > _MIXING_LIMIT:
+        return None
+    angles = -np.arctan2(sines, cosines)
+    order = np.argsort(angles, axis=-1, kind="stable")
+    return np.take_along_axis(angles, order, -1), np.take_along_axis(vectors, order[..., None, :], -1)
+
+
 def _cayley_eigh(u):
-    # eigh of the Cayley transform: the real (I + X)^{-1} Y for a symmetric
-    # U = X + iY unless that is ill-conditioned, else i (I - U)(I + U)^{-1}.
+    # (eps tau, vectors), ascending, from eigh of i (I - U)(I + U)^{-1}, whose
+    # eigenvalues are h = -tan(eps tau / 2).
     eye = np.eye(u.shape[-1])
-    if (u == _transpose(u)).all():
-        with suppress(np.linalg.LinAlgError):
-            m = np.linalg.solve(eye + u.real, u.imag)
-            if np.abs(m - _transpose(m)).max() <= _REAL_SKEW_LIMIT:
-                tangents, vectors = np.linalg.eigh(m + _transpose(m))
-                return 0.5 * tangents, vectors
     try:
         transform = 1j * _transpose(np.linalg.solve(_transpose(eye + u), _transpose(eye - u)))
     except np.linalg.LinAlgError as exc:
-        raise BranchAmbiguityError(
-            "quasienergy at the folding boundary |eps|*tau = pi; shrink tau"
-        ) from exc
+        raise BranchAmbiguityError("quasienergy at the folding boundary pi/tau; shrink tau") from exc
     # Rounding leaves the transform an anti-Hermitian part growing like h^2
     # ulps; eigh of its Hermitian part keeps that out of the eigenvalues.
     transform += np.conj(_transpose(transform))
     tangents, vectors = np.linalg.eigh(transform)
-    return 0.5 * tangents, vectors
+    # eps tau = -2 atan(h) falls as h rises: eigh's order reversed is ascending.
+    return -2.0 * np.arctan(0.5 * tangents[..., ::-1]), vectors[..., ::-1]
 
 
 def spectrum(floquet_op, tau):
     """Quasienergy decomposition of a unitary operator or a stack (..., d, d).
 
-    The Cayley transform turns the unitary eigenproblem into a Hermitian
-    one, and eigh re-orthonormalizes degenerate subspaces as a side
-    effect; a symmetric X + iY takes the real transform (I + X)^{-1} Y,
-    unless an eigenphase is too close to pi for it.  Quasienergies close
-    to the zone edge make the transform blow up; that is reported.
+    A symmetric X + iY takes eigh(Y) and eps = -atan2(lambda_Y,
+    diag(O^T X O))/tau unless O^T X O is not diagonal; that and any other
+    unitary take eigh of the Cayley transform (module docstring).  A
+    quasienergy within 1e-9 of the zone edge is reported, not folded.
     """
     u = np.asarray(floquet_op)
     if not 0.0 < tau < np.inf:
         raise ValueError(f"kick interval tau must be finite and > 0, got {tau}")
-    tangents, vectors = _cayley_eigh(u)
-    largest = np.abs(tangents).max()
-    if largest >= _BRANCH_H_LIMIT:
+    eigen = _symmetric_eigh(u) if (u == _transpose(u)).all() else None
+    angles, vectors = _cayley_eigh(u) if eigen is None else eigen
+    largest = np.abs(angles).max()
+    if largest >= np.pi - _BRANCH_MARGIN:
         raise BranchAmbiguityError(
-            f"quasienergy within 1e-9 of the folding boundary pi/tau "
-            f"(|tan(eps tau/2)| = {largest:.2e}); shrink tau"
+            f"quasienergy within {_BRANCH_MARGIN:g} of the folding boundary pi/tau "
+            f"(|eps tau| = {largest:.12f}); shrink tau"
         )
-    # eps = -2 atan(h)/tau falls as h rises: eigh's order reversed is ascending.
-    eps = -2.0 * np.arctan(tangents[..., ::-1]) / tau
-    return Spectrum(quasienergies=eps, states=vectors[..., ::-1])
+    return Spectrum(quasienergies=angles / tau, states=vectors)
 
 
 def ground_state(spec):
@@ -328,15 +313,20 @@ def _frame_phases(n_bosons, xi, tau):
     return table
 
 
-def _sector_spectra(params):
-    # Spectra of W_+- = E4^{1/2} U_+- E4^{-1/2} on the adapted basis (rows 0
-    # even, 1 odd) in one spectrum() call.  U_+- = M g_+-^2, M = D_L K D_R (E1
-    # E2 E3 on the left-leg rows), so W_+- = G Q^dagger M Q G, symmetric as M^T = R M R.
+def _sector_operators(params):
+    # W_+- = E4^{1/2} U_+- E4^{-1/2} on the adapted basis, stacked (2, d, d)
+    # with row 0 even.  U_+- = M g_+-^2, M = D_L K D_R (E1 E2 E3 on the left-leg
+    # rows), so W_+- = G Q^dagger M Q G, symmetric as M^T = R M R.
     kick, e1_left, e1_right, _, _ = _kick_factors(params)
     folded = _fold(_fold(e1_left[:, None] * kick * e1_right).T).T
     rows, cols = _frame_phases(params.n, params.xi, params.tau)
     w = folded * rows[:, :, None] * cols[:, None, :]
-    return spectrum(0.5 * (w + _transpose(w)), params.tau)
+    return 0.5 * (w + _transpose(w))
+
+
+def _sector_spectra(params):
+    # Both sectors' full spectra (rows 0 even, 1 odd) in one spectrum() call.
+    return spectrum(_sector_operators(params), params.tau)
 
 
 def _to_fock(vectors, params):
@@ -347,25 +337,53 @@ def _to_fock(vectors, params):
     return np.concatenate([(sym - anti)[:, ::-1], z[:, :1], sym + anti], axis=1)
 
 
+def _lower_sector(eps_even, eps_odd):
+    # The sector of the ground state: the lower minimum, even on a tie.
+    return 0 if eps_even <= eps_odd + DEGENERACY_TOL else 1
+
+
 def _sector_ground(spec, params):
-    # (eps0, state, sector) of solve_ground from the stacked sector spectra.
+    # (eps0, state, sector) of solve_ground from spec's lowest eigenpairs.
     eps_even, eps_odd = spec.quasienergies[:, 0]
-    sector = 0 if eps_even <= eps_odd + DEGENERACY_TOL else 1
+    sector = _lower_sector(eps_even, eps_odd)
     x = _to_fock(spec.states[:, :, :1], params)[sector, :, 0]
     state = np.concatenate([x, (1 - 2 * sector) * x[::-1]])
     return min(eps_even, eps_odd), state / np.linalg.norm(state), sector
 
 
+def _certified_ground(params):
+    # Both sectors' lowest quasienergies and the winner's vector (the other
+    # column zero) as a (2, d, 1) Spectrum; None where the certificate fails.
+    w = _sector_operators(params)
+    eye = np.eye(w.shape[-1])
+    try:
+        np.linalg.cholesky(w.real - _COS_FLOOR * eye)
+        tops = np.linalg.eigvalsh(w.imag)[:, -1]
+        eps = -np.arcsin(tops) / params.tau
+        sector = _lower_sector(*eps)
+        shifted = w.imag[sector] - tops[sector] * eye
+        # Two steps of inverse iteration from a start vector with no lattice
+        # symmetry; an overflow fails the residual check below.
+        vector = np.linalg.solve(shifted, np.linalg.solve(shifted, np.cos(np.arange(eye.shape[0]))))
+    except np.linalg.LinAlgError:
+        return None
+    vector /= np.linalg.norm(vector)
+    if not np.abs(shifted @ vector).max() <= _RESIDUAL_LIMIT:
+        return None
+    states = np.zeros((2, eye.shape[0], 1))
+    states[sector, :, 0] = vector
+    return Spectrum(quasienergies=eps[:, None], states=states)
+
+
 def solve_ground(params):
     """Ground quasienergy and state of U_F, solved in its parity sectors.
 
-    Both sectors go through one stacked, real symmetric spectrum() call
-    (see the module docstring), so the branch check covers every
-    quasienergy of U_F.  The lower sector minimum wins, the even sector
-    on a tie within DEGENERACY_TOL; eps0 is the smaller minimum.  The
-    winner's lowest vector x, on the rung basis, is embedded as
-    [x; +-x reversed], an exact parity eigenstate with unit norm to
-    within one ulp.
+    Ground-only where the Cholesky certificate holds, else from both full
+    sector spectra (module docstring); either way every quasienergy of U_F
+    is clear of the zone edge.  eps0 is the lower sector minimum, and the
+    winner's vector x on the rung basis becomes [x; +-x reversed], an
+    exact parity eigenstate of unit norm to within one ulp.
     """
-    eps0, state, _ = _sector_ground(_sector_spectra(params), params)
+    spec = _certified_ground(params)
+    eps0, state, _ = _sector_ground(_sector_spectra(params) if spec is None else spec, params)
     return eps0, state

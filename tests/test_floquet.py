@@ -9,11 +9,11 @@ from fockladder.floquet import (
     build_floquet,
     build_heff,
     ground_state,
-    physical_to_effective,
     solve_ground,
     spectrum,
 )
-from fockladder.floquet import _sector_spectra
+from fockladder import floquet
+from fockladder.floquet import _certified_ground, _sector_ground, _sector_spectra
 from fockladder.lattice import (
     SIGMA_X,
     SIGMA_Z,
@@ -84,28 +84,6 @@ class TestSystemParams:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             SystemParams(n=4, mu=np.inf, xi=0.5, phi=0.3)
-
-
-class TestPhysicalToEffective:
-    def test_reference_point(self):
-        params = physical_to_effective(
-            n=100, u=0.5, w=25.0 * np.pi, j=1.0, k=0.5, omega=100.0 * np.pi, tau=0.01
-        )
-        assert params.mu == pytest.approx(50.0, abs=1e-12)
-        assert params.xi == pytest.approx(0.5, abs=1e-15)
-        assert params.phi == pytest.approx(0.5, abs=1e-15)
-        assert params.n == 100
-
-    def test_scaling_in_drive_amplitude(self):
-        base = physical_to_effective(n=20, u=0.1, w=1.0, j=1.0, k=0.3, omega=40.0)
-        double = physical_to_effective(n=20, u=0.1, w=2.0, j=1.0, k=0.3, omega=40.0)
-        assert double.phi == pytest.approx(2.0 * base.phi)
-
-    def test_rejects_bad_drive(self):
-        with pytest.raises(ValueError, match="omega"):
-            physical_to_effective(n=4, u=0.1, w=1.0, j=1.0, k=0.3, omega=0.0)
-        with pytest.raises(ValueError, match="j must be"):
-            physical_to_effective(n=4, u=0.1, w=1.0, j=0.0, k=0.3, omega=40.0)
 
 
 class TestBuildFloquet:
@@ -226,17 +204,31 @@ class TestSpectrum:
             phases_out = np.exp(-1j * spec.quasienergies * tau)
             assert np.abs(op @ spec.states - spec.states * phases_out).max() < 1e-12
 
-    def test_symmetric_operator_near_zone_edge_takes_general_transform(self):
-        # Near pi the real transform loses digits to the double zero of
-        # 1 + cos(eps tau), and the general transform takes over.
+    def test_symmetric_operator_near_zone_edge_stays_real(self):
+        # eigh(Y) and atan2 divide by nothing, so a phase at pi - 1e-4 keeps
+        # the real route and full accuracy (8.9e-16 measured).
         tau = 0.01
         phases = np.append(np.linspace(-3.0, 2.9, 11), np.pi - 1e-4)
         u = synthetic_unitary(phases, symmetric=True)
         spec = spectrum(u, tau)
-        assert np.iscomplexobj(spec.states)
-        np.testing.assert_allclose(spec.quasienergies * tau, np.sort(-phases), rtol=0, atol=1e-10)
+        assert np.isrealobj(spec.states)
+        np.testing.assert_allclose(spec.quasienergies * tau, np.sort(-phases), rtol=0, atol=1e-12)
         phases_out = np.exp(-1j * spec.quasienergies * tau)
-        assert np.abs(u @ spec.states - spec.states * phases_out).max() < 1e-8
+        assert np.abs(u @ spec.states - spec.states * phases_out).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_phases_sharing_a_sine_take_general_transform(self, seed):
+        # Eigenphases a and pi - a are one eigenvalue of Y, so eigh(Y) mixes
+        # their vectors (O^T X O off-diagonal ~0.5); the guard hands the
+        # operator to the complex transform, which separates them.
+        tau = 0.01
+        phases = np.array([0.7, np.pi - 0.7, -2.0, -0.3, 1.2, 2.5])
+        u = synthetic_unitary(phases, symmetric=True, seed=seed)
+        spec = spectrum(u, tau)
+        assert np.iscomplexobj(spec.states)
+        np.testing.assert_allclose(spec.quasienergies * tau, np.sort(-phases), rtol=0, atol=1e-12)
+        phases_out = np.exp(-1j * spec.quasienergies * tau)
+        assert np.abs(u @ spec.states - spec.states * phases_out).max() <= 1e-12
 
     @pytest.mark.parametrize(
         "symmetric, offset",
@@ -247,7 +239,8 @@ class TestSpectrum:
         # The complex transform's anti-Hermitian rounding part grows like
         # h^2 ulps; unless eigh sees only the Hermitian part, one phase at
         # pi - 1e-7 (still accepted) shifts every other one by up to 2e-2.
-        # The symmetric case at pi - 1e-4 is the test above.
+        # Symmetric operators take the real route; at pi - 1e-4 that is the
+        # test above.
         tau = 0.01
         phases = np.append(np.linspace(-3.0, 2.9, 11), np.pi - offset)
         for seed in range(4):
@@ -321,6 +314,13 @@ class TestGroundState:
         assert abs(np.linalg.norm(state) - 1.0) <= np.finfo(float).eps
 
 
+# Doublets split by 6e-10 and 2e-10, just above DEGENERACY_TOL.
+NEAR_DOUBLETS = [
+    SystemParams(n=20, mu=0.0, xi=0.5, phi=5.0 * np.pi / 12.0),
+    SystemParams(n=200, mu=-0.45, xi=0.5, phi=5.0 * np.pi / 24.0),
+]
+
+
 def _parity_expectation(state, n_bosons):
     return np.real(np.vdot(state, parity_operator(n_bosons) @ state))
 
@@ -376,13 +376,7 @@ class TestSolveGround:
         if doublet:
             assert _parity_expectation(state, params.n) == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize(
-        "params",
-        [
-            SystemParams(n=20, mu=0.0, xi=0.5, phi=5.0 * np.pi / 12.0),
-            SystemParams(n=200, mu=-0.45, xi=0.5, phi=5.0 * np.pi / 24.0),
-        ],
-    )
+    @pytest.mark.parametrize("params", NEAR_DOUBLETS)
     def test_exact_parity_at_near_doublets(self, params):
         # Gaps of 6e-10 and 2e-10, above DEGENERACY_TOL: the full-space
         # eigh leaks across sectors here, the sector solve cannot.
@@ -390,3 +384,44 @@ class TestSolveGround:
         assert DEGENERACY_TOL < gap < 1e-9
         _, state = solve_ground(params)
         assert abs(abs(_parity_expectation(state, params.n)) - 1.0) <= 1e-12
+
+    def test_certified_points_skip_the_full_sector_solve(self, monkeypatch):
+        # mu=0, N=100: every |eps tau| <= 0.75, so the Cholesky certificate
+        # holds and no full sector spectrum is needed.
+        def refuse(params):
+            raise AssertionError("full sector solve on a certified point")
+
+        monkeypatch.setattr(floquet, "_sector_spectra", refuse)
+        for phi in np.linspace(0.0, np.pi / 2.0, 13):
+            eps, state = solve_ground(SystemParams(n=100, mu=0.0, xi=0.5, phi=float(phi)))
+            assert np.isfinite(eps) and abs(np.linalg.norm(state) - 1.0) <= np.finfo(float).eps
+
+    @pytest.mark.parametrize("phi", [0.0, 0.7, 1.4])
+    def test_uncertified_point_falls_back_to_full_sector_solve(self, phi):
+        # mu=5, N=100: the interaction pushes eigenphases past pi/2, X is not
+        # positive definite, and the full sector spectra decide.
+        params = SystemParams(n=100, mu=5.0, xi=0.5, phi=phi)
+        assert _certified_ground(params) is None
+        eps, state = solve_ground(params)
+        full_eps, full_state, _ = _sector_ground(_sector_spectra(params), params)
+        assert eps == full_eps
+        np.testing.assert_array_equal(state, full_state)
+
+    def test_failed_residual_check_falls_back_to_full_sector_solve(self, monkeypatch):
+        # A certified point whose inverse-iteration vector is refused takes
+        # the full sector spectra too.
+        params = SystemParams(n=20, mu=0.0, xi=0.5, phi=0.7)
+        assert _certified_ground(params) is not None
+        monkeypatch.setattr(floquet, "_RESIDUAL_LIMIT", -1.0)
+        assert _certified_ground(params) is None
+        eps, state = solve_ground(params)
+        full_eps, full_state, _ = _sector_ground(_sector_spectra(params), params)
+        assert eps == full_eps
+        np.testing.assert_array_equal(state, full_state)
+
+    @pytest.mark.parametrize("params", NEAR_DOUBLETS)
+    def test_both_routes_pick_one_sector_at_near_doublets(self, params):
+        certified = _certified_ground(params)
+        assert certified is not None
+        _, _, sector = _sector_ground(certified, params)
+        assert sector == _sector_ground(_sector_spectra(params), params)[2]
