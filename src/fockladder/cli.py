@@ -8,6 +8,10 @@ RunConfig equal to the one that produced the run.  Data files are
 deterministic, so reruns with the same configuration are
 byte-identical; only the sidecar's wall time differs.
 
+Every input rule lives in RunConfig.__post_init__; argparse only turns
+text into ints, floats and lists.  A config parsed from flags, built in
+code or loaded from a sidecar is therefore checked by the same rules.
+
 Exit codes: 0 success, 1 compute or I/O error (and `validate` with any
 failed check), 2 usage error.
 """
@@ -49,13 +53,35 @@ from .validation import run_invariant_suite
 
 __all__ = ["RunConfig", "parse_args", "run", "main", "load_sidecar_config"]
 
-COMMANDS = ("bands", "ground", "current-scan", "mu-scan", "fss", "entropy-scan", "validate")
-
 # Default flux grid for entropy scans starts one step into the zone;
 # the analytic entropy is singular at zero flux.
 ENTROPY_PHI_MIN = float(DEFAULT_PHI_GRID[1])
 
 HALF_PI = math.pi / 2.0
+
+
+def _even_bosons(value):
+    return isinstance(value, (int, np.integer)) and value > 0 and value % 2 == 0
+
+
+def _at_least(minimum):
+    return lambda value: isinstance(value, (int, np.integer)) and value >= minimum
+
+
+# field -> (test, what the value must be); messages name the CLI flag.
+_RULES = {
+    "n": (_even_bosons, "a positive even integer"),
+    "xi": (lambda value: value >= 0.0, "nonnegative"),
+    "tau": (lambda value: value > 0.0, "positive"),
+    "phi_points": (_at_least(2), "an integer of at least 2"),
+    "mu_points": (_at_least(3), "an integer of at least 3"),
+    "ns": (lambda value: len(value) >= 3 and len(set(value)) == len(value)
+           and all(map(_even_bosons, value)),
+           "at least 3 distinct positive even integers"),
+    "fluxes": (lambda value: value is None or (len(value) > 0 and all(map(math.isfinite, value))),
+               "'auto' or a list of finite numbers"),
+    "format": (lambda value: value in ("csv", "json"), "csv or json"),
+}
 
 
 @dataclass(frozen=True)
@@ -65,6 +91,11 @@ class RunConfig:
     Fields a command does not consume keep their defaults, so any
     config serializes to the same shape and the sidecar round-trip is
     a plain field-by-field comparison.
+
+    __post_init__ holds every input rule: a finite check on each float
+    field, the per-field table _RULES and the flux and interaction grid
+    bounds.  Configs built in code or loaded from sidecars pass through
+    it too; a value outside a rule raises ValueError naming its flag.
     """
 
     command: str
@@ -85,10 +116,22 @@ class RunConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
+        if self.command not in _COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"unknown format {self.format!r}")
+        finite = [(field.name, (math.isfinite, "finite"))
+                  for field in dataclasses.fields(self) if field.type == "float"]
+        for name, (test, what) in finite + list(_RULES.items()):
+            value = getattr(self, name)
+            if not test(value):
+                raise ValueError(f"--{name.replace('_', '-')} must be {what}, got {value!r}")
+        if self.phi_min >= self.phi_max:
+            raise ValueError("--phi-min must be smaller than --phi-max")
+        if self.phi_min < 0.0 or self.phi_max > HALF_PI + 1e-12:
+            raise ValueError("--phi-min and --phi-max must lie within [0, pi/2]")
+        if self.command == "entropy-scan" and self.phi_min <= 0.0:
+            raise ValueError("--phi-min must be positive for entropy-scan")
+        if self.mu_min >= self.mu_max:
+            raise ValueError("--mu-min must be smaller than --mu-max")
 
     def to_dict(self):
         data = dataclasses.asdict(self)
@@ -116,110 +159,42 @@ def load_sidecar_config(path):
 
 # ---------------------------------------------------------------- parsing
 
-def _even_bosons(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value <= 0 or value % 2:
-        raise argparse.ArgumentTypeError(
-            f"boson number must be a positive even integer, got {value}"
-        )
-    return value
-
-
-def _finite_float(text):
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"value must be finite, got {value}")
-    return value
-
-
-def _positive_float(text):
-    value = _finite_float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"value must be positive, got {value}")
-    return value
-
-
-def _nonnegative_float(text):
-    value = _finite_float(text)
-    if value < 0.0:
-        raise argparse.ArgumentTypeError(f"value must be nonnegative, got {value}")
-    return value
-
-
-def _points_at_least(minimum):
-    def convert(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"need at least {minimum} points, got {value}")
-        return value
-
-    return convert
-
-
-def _size_list(text):
-    try:
-        values = tuple(int(token) for token in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated integer list")
-    if len(values) < 3:
-        raise argparse.ArgumentTypeError(f"need at least 3 sizes, got {len(values)}")
-    if any(v <= 0 or v % 2 for v in values):
-        raise argparse.ArgumentTypeError(f"sizes must be positive even integers, got {text!r}")
-    if len(set(values)) != len(values):
-        raise argparse.ArgumentTypeError(f"duplicate sizes in {text!r}")
-    return values
+def _int_list(text):
+    return tuple(map(int, text.split(",")))
 
 
 def _flux_list(text):
-    if text.strip().lower() == "auto":
-        return None
-    try:
-        values = tuple(float(token) for token in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is neither 'auto' nor a comma-separated number list"
-        )
-    if not values or any(not math.isfinite(v) for v in values):
-        raise argparse.ArgumentTypeError(f"flux list {text!r} must hold finite numbers")
-    return values
+    return None if text.strip().lower() == "auto" else tuple(map(float, text.split(",")))
 
 
-def _add_system_flags(parser, with_mu=True):
-    parser.add_argument("--n", type=_even_bosons, default=100,
-                        help="boson number, positive even (default 100)")
+def _add_system_flags(parser, with_n=True, with_mu=True):
+    if with_n:
+        parser.add_argument("--n", type=int, default=100,
+                            help="boson number, positive even (default 100)")
     if with_mu:
-        parser.add_argument("--mu", type=_finite_float, default=0.0,
+        parser.add_argument("--mu", type=float, default=0.0,
                             help="scaled boson-boson interaction (default 0)")
-    parser.add_argument("--xi", type=_nonnegative_float, default=0.5,
+    parser.add_argument("--xi", type=float, default=0.5,
                         help="impurity-BEC coupling ratio (default 0.5)")
-    parser.add_argument("--tau", type=_positive_float, default=0.01,
+    parser.add_argument("--tau", type=float, default=0.01,
                         help="driving period in units of 1/J (default 0.01)")
 
 
 def _add_phi_grid_flags(parser, default_min=0.0, default_points=121, note=""):
-    parser.add_argument("--phi-min", type=_finite_float, default=default_min,
+    parser.add_argument("--phi-min", type=float, default=default_min,
                         help=f"lowest flux in rad (default {default_min:g})")
-    parser.add_argument("--phi-max", type=_finite_float, default=HALF_PI,
+    parser.add_argument("--phi-max", type=float, default=HALF_PI,
                         help="highest flux in rad (default pi/2)")
-    parser.add_argument("--phi-points", type=_points_at_least(2), default=default_points,
+    parser.add_argument("--phi-points", type=int, default=default_points,
                         help=f"flux grid size (default {default_points}){note}")
 
 
 def _add_mu_grid_flags(parser):
-    parser.add_argument("--mu-min", type=_finite_float, default=-0.6,
+    parser.add_argument("--mu-min", type=float, default=-0.6,
                         help="lowest interaction (default -0.6)")
-    parser.add_argument("--mu-max", type=_finite_float, default=0.1,
+    parser.add_argument("--mu-max", type=float, default=0.1,
                         help="highest interaction (default 0.1)")
-    parser.add_argument("--mu-points", type=_points_at_least(3), default=71,
+    parser.add_argument("--mu-points", type=int, default=71,
                         help="interaction grid size (default 71)")
 
 
@@ -248,7 +223,7 @@ def _build_parser():
 
     p = sub.add_parser("ground", help="ground-state site data and observables at one point")
     _add_system_flags(p)
-    p.add_argument("--phi", type=_finite_float, default=0.0,
+    p.add_argument("--phi", type=float, default=0.0,
                    help="flux in rad (default 0)")
     _add_output_flags(p)
 
@@ -265,12 +240,9 @@ def _build_parser():
     _add_output_flags(p)
 
     p = sub.add_parser("fss", help="finite-size extrapolation of the current maximum")
-    p.add_argument("--ns", type=_size_list, default=DEFAULT_NS,
+    p.add_argument("--ns", type=_int_list, default=DEFAULT_NS,
                    help="comma-separated even boson numbers (default 20,40,60,80,100)")
-    p.add_argument("--xi", type=_nonnegative_float, default=0.5,
-                   help="impurity-BEC coupling ratio (default 0.5)")
-    p.add_argument("--tau", type=_positive_float, default=0.01,
-                   help="driving period in units of 1/J (default 0.01)")
+    _add_system_flags(p, with_n=False, with_mu=False)
     _add_phi_grid_flags(p, note=peak_note)
     _add_mu_grid_flags(p)
     _add_output_flags(p)
@@ -289,37 +261,29 @@ def _build_parser():
 def parse_args(argv=None):
     """Parse argv into a RunConfig; usage errors exit with code 2."""
     parser = _build_parser()
-    args = parser.parse_args(argv)
-
-    if hasattr(args, "phi_min"):
-        if args.phi_min >= args.phi_max:
-            parser.error("--phi-min must be smaller than --phi-max")
-        if args.phi_min < 0.0 or args.phi_max > HALF_PI + 1e-12:
-            parser.error("flux grid must lie within [0, pi/2]")
-        if args.command == "entropy-scan" and args.phi_min <= 0.0:
-            parser.error("--phi-min must be positive for entropy-scan")
-    if hasattr(args, "mu_min") and args.mu_min >= args.mu_max:
-        parser.error("--mu-min must be smaller than --mu-max")
-
-    field_names = {field.name for field in dataclasses.fields(RunConfig)}
-    values = {
-        name: getattr(args, name)
-        for name in field_names
-        if name != "command" and hasattr(args, name)
-    }
-    return RunConfig(command=args.command, **values)
+    try:
+        return RunConfig(**vars(parser.parse_args(argv)))
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 # ---------------------------------------------------------------- writers
 
-def _format_cell(value):
+def _native(value):
     if value is None:
-        return ""
+        return None
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+        return int(value)
+    return float(value)
+
+
+def _format_cell(value):
+    value = _native(value)
+    if value is None:
+        return ""
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 def _write_csv(path, header, rows):
@@ -344,16 +308,6 @@ def _write_sidecar(path, config, wall_time, result):
         "result": result,
     }
     _write_json(path, payload)
-
-
-def _native(value):
-    if value is None:
-        return None
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return float(value)
 
 
 def _unmask(value):

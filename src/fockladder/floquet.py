@@ -133,18 +133,10 @@ class Spectrum:
     states: np.ndarray
 
 
-@lru_cache(maxsize=16)
-def _sx_eigensystem(n_bosons):
-    w, v = np.linalg.eigh(build_sx(n_bosons).real)
-    w.setflags(write=False)
-    v.setflags(write=False)
-    return w, v
-
-
 @lru_cache(maxsize=8)
 def _bec_kick(n_bosons, tau):
-    # exp(i tau S_x) through the cached spectral decomposition.
-    w, v = _sx_eigensystem(n_bosons)
+    # exp(i tau S_x) through the spectral decomposition of the real S_x.
+    w, v = np.linalg.eigh(build_sx(n_bosons).real)
     kick = (v * np.exp(1j * tau * w)) @ v.T
     kick.setflags(write=False)
     return kick

@@ -75,15 +75,33 @@ class TestParseArgs:
             ["entropy-scan", "--phi-min", "0"],
             ["mu-scan", "--mu-min", "0.2", "--mu-max", "0.1"],
             ["mu-scan", "--mu-points", "2"],
+            ["ground", "--tau", "nan"],
+            ["ground", "--mu", "inf"],
+            ["ground", "--xi", "-1"],
+            ["ground", "--n", "abc"],
+            ["current-scan", "--phi-points", "1"],
+            ["bands", "--fluxes", "0.3,inf"],
+            ["mu-scan", "--phi-min", "-0.1"],
         ],
     )
     def test_usage_errors_exit_2(self, argv):
         assert usage_exit(argv) == 2
 
-    def test_odd_n_message_names_flag(self, capsys):
-        usage_exit(["ground", "--n", "101"])
+    @pytest.mark.parametrize(
+        "argv, shown",
+        [
+            (["ground", "--n", "101"], "101"),
+            (["ground", "--tau", "0"], "0.0"),
+            (["ground", "--xi", "-1"], "-1.0"),
+            (["current-scan", "--phi-points", "1"], "1"),
+            (["fss", "--ns", "20,40"], "(20, 40)"),
+        ],
+        ids=["n", "tau", "xi", "phi-points", "ns"],
+    )
+    def test_usage_message_names_flag_and_value(self, capsys, argv, shown):
+        usage_exit(argv)
         err = capsys.readouterr().err
-        assert "--n" in err and "101" in err
+        assert f"error: {argv[1]} must be" in err and f"got {shown}" in err
 
 
 class TestRunConfig:
@@ -94,6 +112,28 @@ class TestRunConfig:
     def test_rejects_unknown_command(self):
         with pytest.raises(ValueError, match="command"):
             RunConfig(command="explode")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", 101), ("tau", 0.0), ("phi_points", 1), ("ns", (20, 40)), ("mu", math.nan),
+         ("fluxes", ())],
+        ids=["n", "tau", "phi_points", "ns", "mu", "fluxes"],
+    )
+    def test_rejects_out_of_rule_values(self, field, value):
+        flag = "--" + field.replace("_", "-")
+        with pytest.raises(ValueError, match=f"^{flag} must be"):
+            RunConfig(command="ground", **{field: value})
+
+    def test_sidecar_is_checked_on_load(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        assert run(parse_args(["current-scan", "--n", "8", "--phi-points", "5",
+                               "--out", str(out)])) == 0
+        sidecar = tmp_path / "scan.csv.meta.json"
+        meta = json.loads(sidecar.read_text())
+        meta["config"]["phi_points"] = 1
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="--phi-points"):
+            load_sidecar_config(sidecar)
 
     def test_default_output_name(self):
         assert parse_args(["ground"]).out_path() == "ground.csv"
