@@ -8,6 +8,12 @@ RunConfig equal to the one that produced the run.  Data files are
 deterministic, so reruns with the same configuration are
 byte-identical; only the sidecar's wall time differs.
 
+JSON files (data and sidecar) hold exactly the bytes
+json.dump(payload, handle, indent=2) followed by a newline would write,
+streamed row by row: each innermost list is formatted as one string and
+written at once, and numpy arrays are walked without a .tolist() copy
+of the whole payload.
+
 Every input rule lives in RunConfig.__post_init__; argparse only turns
 text into ints, floats and lists.  A config parsed from flags, built in
 code or loaded from a sidecar is therefore checked by the same rules.
@@ -27,6 +33,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -95,7 +102,8 @@ class RunConfig:
     __post_init__ holds every input rule: a finite check on each float
     field, the per-field table _RULES and the flux and interaction grid
     bounds.  Configs built in code or loaded from sidecars pass through
-    it too; a value outside a rule raises ValueError naming its flag.
+    it too; a value outside a rule, or of the wrong type, raises
+    ValueError naming its flag.
     """
 
     command: str
@@ -116,13 +124,17 @@ class RunConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        if self.command not in _COMMANDS:
+        if not isinstance(self.command, str) or self.command not in _COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
         finite = [(field.name, (math.isfinite, "finite"))
                   for field in dataclasses.fields(self) if field.type == "float"]
         for name, (test, what) in finite + list(_RULES.items()):
             value = getattr(self, name)
-            if not test(value):
+            try:
+                holds = test(value)
+            except TypeError:  # a value of the wrong type, say a quoted number
+                holds = False
+            if not holds:
                 raise ValueError(f"--{name.replace('_', '-')} must be {what}, got {value!r}")
         if self.phi_min >= self.phi_max:
             raise ValueError("--phi-min must be smaller than --phi-max")
@@ -141,10 +153,13 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data):
+        unknown = sorted(set(data) - {field.name for field in dataclasses.fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config field(s): {', '.join(unknown)}")
         values = dict(data)
-        values["ns"] = tuple(values.get("ns", DEFAULT_NS))
-        fluxes = values.get("fluxes")
-        values["fluxes"] = None if fluxes is None else tuple(fluxes)
+        for name in ("ns", "fluxes"):
+            if isinstance(values.get(name), list):
+                values[name] = tuple(values[name])
         return cls(**values)
 
     def out_path(self):
@@ -295,9 +310,61 @@ def _write_csv(path, header, rows):
 
 
 def _write_json(path, payload):
+    """Write payload as json.dump(payload, indent=2) plus a newline would.
+
+    The stdlib encoder yields one chunk per token in pure Python whenever
+    indent is set; here each innermost row is formatted as one joined
+    string and written at once, so a document is never held whole.
+    ndarrays are written as their .tolist() would be, walked along their
+    first axis; dict keys must be strings.
+    """
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
+        _dump_json(payload, handle.write, "\n")
         handle.write("\n")
+
+
+_CONTAINERS = (dict, list, tuple, np.ndarray)
+
+
+def _dump_json(value, write, pad):
+    # pad is the newline plus indent of the line value starts on.
+    inner = pad + "  "
+    if isinstance(value, np.ndarray):
+        if value.ndim == 1:
+            write(_json_row(value.tolist(), inner, pad))
+            return
+        value = list(value)
+    if isinstance(value, dict) and value:
+        write("{")
+        for index, (key, item) in enumerate(value.items()):
+            write(("," if index else "") + inner + encode_basestring_ascii(key) + ": ")
+            _dump_json(item, write, inner)
+        write(pad + "}")
+    elif isinstance(value, (list, tuple)) and any(isinstance(item, _CONTAINERS) for item in value):
+        write("[")
+        for index, item in enumerate(value):
+            write(("," if index else "") + inner)
+            _dump_json(item, write, inner)
+        write(pad + "]")
+    elif isinstance(value, (list, tuple)):
+        write(_json_row(value, inner, pad))
+    else:
+        write(json.dumps(value))
+
+
+def _json_row(row, inner, pad):
+    # A list of scalars as one string.  A row of finite floats is spelled
+    # by float.__repr__, as json spells them; any other row (None, NaN,
+    # Infinity, ints, bools, strings) goes through json.dumps item by item.
+    if not row:
+        return "[]"
+    separator = "," + inner
+    try:
+        if all(map(math.isfinite, row)):
+            return "[" + inner + separator.join(map(float.__repr__, row)) + pad + "]"
+    except (TypeError, OverflowError):
+        pass
+    return "[" + inner + separator.join(map(json.dumps, row)) + pad + "]"
 
 
 def _write_sidecar(path, config, wall_time, result):
@@ -330,8 +397,8 @@ def _cmd_bands(config):
         "ground_phase_left [rad]", "ground_phase_right [rad]",
     ]
     rows = []
-    for panel in panels:
-        phase = _phase_rows(panel.ground_phase)
+    phases = [_phase_rows(panel.ground_phase) for panel in panels]
+    for panel, phase in zip(panels, phases):
         for k in range(config.n + 1):
             rows.append([
                 panel.flux, panel.thetas[k], panel.e_lower[k], panel.e_upper[k],
@@ -342,16 +409,16 @@ def _cmd_bands(config):
         "panels": [
             {
                 "flux": panel.flux,
-                "thetas": panel.thetas.tolist(),
-                "e_lower": panel.e_lower.tolist(),
-                "e_upper": panel.e_upper.tolist(),
-                "quasienergies": panel.quasienergies.tolist(),
-                "density": panel.density.tolist(),
+                "thetas": panel.thetas,
+                "e_lower": panel.e_lower,
+                "e_upper": panel.e_upper,
+                "quasienergies": panel.quasienergies,
+                "density": panel.density,
                 "ground_quasienergy": panel.ground_quasienergy,
-                "ground_density": panel.ground_density.tolist(),
-                "ground_phase": _phase_rows(panel.ground_phase),
+                "ground_density": panel.ground_density,
+                "ground_phase": phase,
             }
-            for panel in panels
+            for panel, phase in zip(panels, phases)
         ]
     }
     result = {

@@ -12,6 +12,7 @@ import fockladder
 from fockladder.cli import (
     ENTROPY_PHI_MIN,
     RunConfig,
+    _write_json,
     load_sidecar_config,
     main,
     parse_args,
@@ -124,15 +125,23 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=f"^{flag} must be"):
             RunConfig(command="ground", **{field: value})
 
-    def test_sidecar_is_checked_on_load(self, tmp_path):
+    @pytest.mark.parametrize(
+        "edit, named",
+        [({"phi_points": 1}, "^--phi-points must be"),
+         ({"xi": "0.5"}, "^--xi must be finite, got '0.5'"),
+         ({"ns": 5}, "^--ns must be .*, got 5"),
+         ({"bogus": 1}, "unknown config field.*bogus")],
+        ids=["out-of-rule", "quoted-number", "scalar-list", "unknown-key"],
+    )
+    def test_sidecar_is_checked_on_load(self, tmp_path, edit, named):
         out = tmp_path / "scan.csv"
         assert run(parse_args(["current-scan", "--n", "8", "--phi-points", "5",
                                "--out", str(out)])) == 0
         sidecar = tmp_path / "scan.csv.meta.json"
         meta = json.loads(sidecar.read_text())
-        meta["config"]["phi_points"] = 1
+        meta["config"].update(edit)
         sidecar.write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match="--phi-points"):
+        with pytest.raises(ValueError, match=named):
             load_sidecar_config(sidecar)
 
     def test_default_output_name(self):
@@ -188,10 +197,15 @@ class TestRunGround:
 
 
 class TestRunScans:
-    def test_rerun_is_byte_identical(self, tmp_path):
-        argv = ["current-scan", "--n", "8", "--phi-points", "11"]
-        first = tmp_path / "a.csv"
-        second = tmp_path / "b.csv"
+    @pytest.mark.parametrize(
+        "argv",
+        [["current-scan", "--n", "8", "--phi-points", "11"],
+         ["bands", "--n", "8", "--format", "json"]],
+        ids=["current-scan", "bands-json"],
+    )
+    def test_rerun_is_byte_identical(self, tmp_path, argv):
+        first = tmp_path / "a.out"
+        second = tmp_path / "b.out"
         assert run(parse_args(argv + ["--out", str(first)])) == 0
         assert run(parse_args(argv + ["--out", str(second)])) == 0
         assert first.read_bytes() == second.read_bytes()
@@ -310,6 +324,56 @@ class TestRunScans:
         assert [float(r[3]) for r in rows[1:]] == [abs(m - target) for m in mu_maxes]
         assert meta["result"]["intercept"] == fit.intercept
         assert meta["result"]["slope"] == fit.slope
+
+
+def _stdlib_json(value):
+    return json.dumps(value, indent=2, default=np.ndarray.tolist) + "\n"
+
+
+class TestJsonWriter:
+    RNG = np.random.default_rng(7)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {},
+            [],
+            {"a": {}, "b": [], "c": [[], {}, [[]]], "d": ()},
+            [1.5, None, math.nan, math.inf, -math.inf, -0.0, 1e-300, 0.1],
+            np.array([0.5, math.nan, math.inf, -math.inf, -0.0, 1e-300]),
+            [np.float64(0.1), np.float64(-2.5e-8), True, False, 3, -7, None],
+            {"x": np.float64(1 / 3), "flag": True, "count": 12, "none": None,
+             "rows": [[0, 1.25, "text", None], [1, math.nan, "", False]]},
+            np.arange(5.0) / 3.0,
+            RNG.standard_normal((3, 4)) ** 5,
+            RNG.random((2, 3, 4)) * 1e-12,
+            np.zeros((2, 0)),
+            {"panels": [{"flux": 0.4, "density": np.arange(12.0).reshape(2, 3, 2)}]},
+            {"naïve ☃ key": "Fock-Zustände ψ", "list": ["é", "\u2028", "\"q\""]},
+        ],
+        ids=["empty-dict", "empty-list", "nested-empty", "float-row-specials", "ndarray-specials",
+             "numpy-scalars-bools-ints", "mixed-dict", "ndarray-1d", "ndarray-2d",
+             "ndarray-3d", "ndarray-empty-rows", "ndarray-in-dict", "non-ascii"],
+    )
+    def test_bytes_match_stdlib_indent_2(self, tmp_path, value):
+        path = tmp_path / "out.json"
+        _write_json(path, value)
+        assert path.read_bytes() == _stdlib_json(value).encode("ascii")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["bands", "--n", "8", "--fluxes", "0.4,0.9"],
+         ["ground", "--n", "8", "--phi", "0.5"],
+         ["current-scan", "--n", "8", "--phi-points", "5"],
+         ["validate"]],
+        ids=["bands", "ground", "current-scan", "validate"],
+    )
+    def test_cli_json_files_are_stdlib_indent_2(self, tmp_path, argv):
+        out = tmp_path / "data.json"
+        assert run(parse_args(argv + ["--format", "json", "--out", str(out)])) == 0
+        for path in (out, tmp_path / "data.json.meta.json"):
+            text = path.read_text(encoding="utf-8")
+            assert text == _stdlib_json(json.loads(text))
 
 
 class TestDecoupledLegs:
