@@ -17,6 +17,10 @@ of the whole payload.
 Every input rule lives in RunConfig.__post_init__; argparse only turns
 text into ints, floats and lists.  A config parsed from flags, built in
 code or loaded from a sidecar is therefore checked by the same rules.
+Each flag is declared once: _COMMANDS lists every command with its
+flags, _FLAGS every flag's type and help, and a flag's default, shown
+in its help, is its RunConfig field's default.  The one per-command
+override, entropy-scan's inner-zone flux grid, is kept in _COMMANDS.
 
 Exit codes: 0 success, 1 compute or I/O error (and `validate` with any
 failed check), 2 usage error.
@@ -97,7 +101,10 @@ class RunConfig:
 
     Fields a command does not consume keep their defaults, so any
     config serializes to the same shape and the sidecar round-trip is
-    a plain field-by-field comparison.
+    a plain field-by-field comparison.  The defaults are the CLI's,
+    except entropy-scan's flux grid (phi_min = ENTROPY_PHI_MIN, 120
+    points, see _COMMANDS): code that builds an entropy-scan config
+    passes a positive phi_min itself.
 
     __post_init__ holds every input rule: a finite check on each float
     field, the per-field table _RULES and the flux and interaction grid
@@ -156,6 +163,8 @@ class RunConfig:
         unknown = sorted(set(data) - {field.name for field in dataclasses.fields(cls)})
         if unknown:
             raise ValueError(f"unknown config field(s): {', '.join(unknown)}")
+        if "command" not in data:
+            raise ValueError("missing config field: command")
         values = dict(data)
         for name in ("ns", "fluxes"):
             if isinstance(values.get(name), list):
@@ -182,42 +191,33 @@ def _flux_list(text):
     return None if text.strip().lower() == "auto" else tuple(map(float, text.split(",")))
 
 
-def _add_system_flags(parser, with_n=True, with_mu=True):
-    if with_n:
-        parser.add_argument("--n", type=int, default=100,
-                            help="boson number, positive even (default 100)")
-    if with_mu:
-        parser.add_argument("--mu", type=float, default=0.0,
-                            help="scaled boson-boson interaction (default 0)")
-    parser.add_argument("--xi", type=float, default=0.5,
-                        help="impurity-BEC coupling ratio (default 0.5)")
-    parser.add_argument("--tau", type=float, default=0.01,
-                        help="driving period in units of 1/J (default 0.01)")
+# field -> (argparse type, help).  Each flag's default is its RunConfig
+# field's, or its command's override in _COMMANDS, and the help gets
+# "(default ...)" from that value unless it names one symbolically.
+_FLAGS = {
+    "n": (int, "boson number, positive even"),
+    "ns": (_int_list, "comma-separated even boson numbers"),
+    "mu": (float, "scaled boson-boson interaction"),
+    "xi": (float, "impurity-BEC coupling ratio"),
+    "tau": (float, "driving period in units of 1/J"),
+    "phi": (float, "flux in rad"),
+    "phi_min": (float, "lowest flux in rad"),
+    "phi_max": (float, "highest flux in rad (default pi/2)"),
+    "phi_points": (int, "flux grid size"),
+    "mu_min": (float, "lowest interaction"),
+    "mu_max": (float, "highest interaction"),
+    "mu_points": (int, "interaction grid size"),
+    "fluxes": (_flux_list, "comma-separated fluxes in rad, or 'auto' for "
+                           "phi_c/2, phi_c, 3 phi_c/2 (default auto)"),
+    "out": (str, "output path (default <command>.<format>)"),
+    "format": (str, "data file format"),
+}
 
 
-def _add_phi_grid_flags(parser, default_min=0.0, default_points=121, note=""):
-    parser.add_argument("--phi-min", type=float, default=default_min,
-                        help=f"lowest flux in rad (default {default_min:g})")
-    parser.add_argument("--phi-max", type=float, default=HALF_PI,
-                        help="highest flux in rad (default pi/2)")
-    parser.add_argument("--phi-points", type=int, default=default_points,
-                        help=f"flux grid size (default {default_points}){note}")
-
-
-def _add_mu_grid_flags(parser):
-    parser.add_argument("--mu-min", type=float, default=-0.6,
-                        help="lowest interaction (default -0.6)")
-    parser.add_argument("--mu-max", type=float, default=0.1,
-                        help="highest interaction (default 0.1)")
-    parser.add_argument("--mu-points", type=int, default=71,
-                        help="interaction grid size (default 71)")
-
-
-def _add_output_flags(parser):
-    parser.add_argument("--out", default=None,
-                        help="output path (default <command>.<format>)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="data file format (default csv)")
+def _shown(value):
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return format(value, "g") if isinstance(value, float) else str(value)
 
 
 def _build_parser():
@@ -228,48 +228,19 @@ def _build_parser():
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    p = sub.add_parser("bands", help="band curves, phase densities and ground strips per flux")
-    _add_system_flags(p)
-    p.add_argument("--fluxes", type=_flux_list, default=None,
-                   help="comma-separated fluxes in rad, or 'auto' for "
-                        "phi_c/2, phi_c, 3 phi_c/2 (default auto)")
-    _add_output_flags(p)
-
-    p = sub.add_parser("ground", help="ground-state site data and observables at one point")
-    _add_system_flags(p)
-    p.add_argument("--phi", type=float, default=0.0,
-                   help="flux in rad (default 0)")
-    _add_output_flags(p)
-
-    p = sub.add_parser("current-scan", help="chiral current versus flux")
-    _add_system_flags(p)
-    _add_phi_grid_flags(p)
-    _add_output_flags(p)
-
-    peak_note = f"; each flux-peak search thins it to at most {GUARD_POINTS} guard fluxes"
-    p = sub.add_parser("mu-scan", help="peak chiral current versus interaction")
-    _add_system_flags(p, with_mu=False)
-    _add_phi_grid_flags(p, note=peak_note)
-    _add_mu_grid_flags(p)
-    _add_output_flags(p)
-
-    p = sub.add_parser("fss", help="finite-size extrapolation of the current maximum")
-    p.add_argument("--ns", type=_int_list, default=DEFAULT_NS,
-                   help="comma-separated even boson numbers (default 20,40,60,80,100)")
-    _add_system_flags(p, with_n=False, with_mu=False)
-    _add_phi_grid_flags(p, note=peak_note)
-    _add_mu_grid_flags(p)
-    _add_output_flags(p)
-
-    p = sub.add_parser("entropy-scan", help="impurity entanglement entropy versus flux")
-    _add_system_flags(p, with_mu=False)
-    _add_phi_grid_flags(p, default_min=ENTROPY_PHI_MIN, default_points=120)
-    _add_output_flags(p)
-
-    p = sub.add_parser("validate", help="run the cross-module invariant suite")
-    _add_output_flags(p)
-
+    defaults = {field.name: field.default for field in dataclasses.fields(RunConfig)}
+    for command, (_, summary, fields, overrides) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        names = fields.split() + ["out", "format"]
+        for name in names:
+            kind, text = _FLAGS[name]
+            default = overrides.get(name, defaults[name])
+            if "(default" not in text:
+                text += f" (default {_shown(default)})"
+            if name == "phi_points" and "mu_points" in names:  # a find_mu_max command
+                text += f"; each flux-peak search thins it to at most {GUARD_POINTS} guard fluxes"
+            p.add_argument("--" + name.replace("_", "-"), type=kind, default=default, help=text,
+                           choices=("csv", "json") if name == "format" else None)
     return parser
 
 
@@ -367,16 +338,6 @@ def _json_row(row, inner, pad):
     return "[" + inner + separator.join(map(json.dumps, row)) + pad + "]"
 
 
-def _write_sidecar(path, config, wall_time, result):
-    payload = {
-        "version": __version__,
-        "config": config.to_dict(),
-        "wall_time_s": round(wall_time, 6),
-        "result": result,
-    }
-    _write_json(path, payload)
-
-
 def _unmask(value):
     return None if np.ma.is_masked(value) else float(value)
 
@@ -405,21 +366,10 @@ def _cmd_bands(config):
                 rungs[k], panel.ground_density[0, k], panel.ground_density[1, k],
                 phase[0][k], phase[1][k],
             ])
+    # A JSON panel is the BandPanel, field by field, with its masked
+    # ground phase as rows (None where masked).
     payload = None if config.format == "csv" else {
-        "panels": [
-            {
-                "flux": panel.flux,
-                "thetas": panel.thetas,
-                "e_lower": panel.e_lower,
-                "e_upper": panel.e_upper,
-                "quasienergies": panel.quasienergies,
-                "density": panel.density,
-                "ground_quasienergy": panel.ground_quasienergy,
-                "ground_density": panel.ground_density,
-                "ground_phase": phase,
-            }
-            for panel, phase in zip(panels, phases)
-        ]
+        "panels": [{**vars(panel), "ground_phase": phase} for panel, phase in zip(panels, phases)]
     }
     result = {
         "fluxes": [panel.flux for panel in panels],
@@ -540,14 +490,27 @@ def _cmd_validate(config):
     return header, rows, None, result, lines
 
 
+_PHI_GRID = "phi_min phi_max phi_points"
+_MU_GRID = "mu_min mu_max mu_points"
+
+# The one command table: command -> (handler, help line, the RunConfig
+# fields it takes as flags, in help order, before --out and --format,
+# and the flag defaults where they differ from RunConfig's).
 _COMMANDS = {
-    "bands": _cmd_bands,
-    "ground": _cmd_ground,
-    "current-scan": _cmd_flux_scan,
-    "mu-scan": _cmd_mu_scan,
-    "fss": _cmd_fss,
-    "entropy-scan": _cmd_flux_scan,
-    "validate": _cmd_validate,
+    "bands": (_cmd_bands, "band curves, phase densities and ground strips per flux",
+              "n mu xi tau fluxes", {}),
+    "ground": (_cmd_ground, "ground-state site data and observables at one point",
+               "n mu xi tau phi", {}),
+    "current-scan": (_cmd_flux_scan, "chiral current versus flux",
+                     f"n mu xi tau {_PHI_GRID}", {}),
+    "mu-scan": (_cmd_mu_scan, "peak chiral current versus interaction",
+                f"n xi tau {_PHI_GRID} {_MU_GRID}", {}),
+    "fss": (_cmd_fss, "finite-size extrapolation of the current maximum",
+            f"ns xi tau {_PHI_GRID} {_MU_GRID}", {}),
+    # The analytic entropy is singular at zero flux: start one step in.
+    "entropy-scan": (_cmd_flux_scan, "impurity entanglement entropy versus flux",
+                     f"n xi tau {_PHI_GRID}", {"phi_min": ENTROPY_PHI_MIN, "phi_points": 120}),
+    "validate": (_cmd_validate, "run the cross-module invariant suite", "", {}),
 }
 
 
@@ -562,7 +525,7 @@ def run(config):
 
     start = time.perf_counter()
     try:
-        header, rows, payload, result, lines = _COMMANDS[config.command](config)
+        header, rows, payload, result, lines = _COMMANDS[config.command][0](config)
     except (ValueError, ArithmeticError, np.linalg.LinAlgError, BranchAmbiguityError) as exc:
         print(f"fockladder: error: {exc}", file=sys.stderr)
         return 1
@@ -578,7 +541,8 @@ def run(config):
                     "rows": [[_native(cell) for cell in row] for row in rows],
                 }
             _write_json(out_path, payload)
-        _write_sidecar(out_path + ".meta.json", config, wall_time, result)
+        _write_json(out_path + ".meta.json", {"version": __version__, "config": config.to_dict(),
+                                              "wall_time_s": round(wall_time, 6), "result": result})
     except OSError as exc:
         print(f"fockladder: error: {exc}", file=sys.stderr)
         return 1

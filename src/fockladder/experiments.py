@@ -27,7 +27,7 @@ from .floquet import (
     _to_fock,
     solve_ground,
 )
-from .lattice import rung_values
+from .lattice import dim_bec, rung_values
 from .meanfield import band_energy, chiral_current_analytic, critical_flux, entropy_analytic, mu_critical
 from .observables import (
     chiral_current_normalized,
@@ -146,6 +146,8 @@ def _check_phi_grid(grid):
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("flux grid is empty")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("flux grid must be finite")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("flux grid must be strictly ascending")
     if grid[0] < 0.0 or grid[-1] > np.pi / 2.0 + 1e-12:
@@ -272,6 +274,8 @@ def interaction_scan(n_bosons, xi, tau=0.01, mu_grid=None, phi_grid=None):
     mu_values = np.asarray(DEFAULT_MU_GRID if mu_grid is None else mu_grid, dtype=float)
     if mu_values.size < 3:
         raise ValueError("interaction grid needs at least 3 points")
+    if not np.all(np.isfinite(mu_values)):
+        raise ValueError("interaction grid must be finite")
     if np.any(np.diff(mu_values) <= 0):
         raise ValueError("interaction grid must be strictly ascending")
     grid = _check_phi_grid(DEFAULT_PHI_GRID if phi_grid is None else phi_grid)
@@ -364,13 +368,16 @@ def finite_size_extrapolation(ns=DEFAULT_NS, xi=0.5, tau=0.01, mu_grid=None, phi
     Runs find_mu_max per system size and fits a least-squares line
     through (1/N, |mu_max - mu_c|); the intercept estimates the
     residual difference at 1/N = 0.  Returns (fit, mu_maxes) with one
-    mu_max per size, in the order of ns.
+    mu_max per size, in the order of ns.  Every size is checked to be a
+    positive even boson number before the first solve.
     """
     sizes = tuple(int(n) for n in ns)
     if len(sizes) < 3:
         raise ValueError(f"extrapolation needs at least 3 sizes, got {len(sizes)}")
     if len(set(sizes)) != len(sizes):
         raise ValueError(f"duplicate system sizes in {sizes} make the fit degenerate")
+    for n_bosons in sizes:  # refuse an unsupported size before any solve
+        dim_bec(n_bosons)
 
     target = mu_critical(xi)
     mu_maxes = tuple(

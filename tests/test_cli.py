@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -10,7 +11,9 @@ import pytest
 
 import fockladder
 from fockladder.cli import (
+    _COMMANDS,
     ENTROPY_PHI_MIN,
+    HALF_PI,
     RunConfig,
     _write_json,
     load_sidecar_config,
@@ -130,8 +133,9 @@ class TestRunConfig:
         [({"phi_points": 1}, "^--phi-points must be"),
          ({"xi": "0.5"}, "^--xi must be finite, got '0.5'"),
          ({"ns": 5}, "^--ns must be .*, got 5"),
-         ({"bogus": 1}, "unknown config field.*bogus")],
-        ids=["out-of-rule", "quoted-number", "scalar-list", "unknown-key"],
+         ({"bogus": 1}, "unknown config field.*bogus"),
+         ({"command": ...}, "^missing config field: command$")],
+        ids=["out-of-rule", "quoted-number", "scalar-list", "unknown-key", "missing-command"],
     )
     def test_sidecar_is_checked_on_load(self, tmp_path, edit, named):
         out = tmp_path / "scan.csv"
@@ -140,6 +144,8 @@ class TestRunConfig:
         sidecar = tmp_path / "scan.csv.meta.json"
         meta = json.loads(sidecar.read_text())
         meta["config"].update(edit)
+        meta["config"] = {key: value for key, value in meta["config"].items()
+                          if value is not ...}  # ... drops the field
         sidecar.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match=named):
             load_sidecar_config(sidecar)
@@ -147,6 +153,45 @@ class TestRunConfig:
     def test_default_output_name(self):
         assert parse_args(["ground"]).out_path() == "ground.csv"
         assert parse_args(["bands", "--format", "json"]).out_path() == "bands.json"
+
+
+# Defaults the help spells symbolically, and the values they stand for.
+SYMBOLIC_DEFAULTS = {"pi/2": HALF_PI, "auto": None, "<command>.<format>": None}
+
+
+class TestCommandTable:
+    """_COMMANDS is the one command table; each flag's default is stated once."""
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_parsed_defaults_are_the_config_defaults(self, command):
+        overrides = _COMMANDS[command][3]
+        assert parse_args([command]) == RunConfig(command=command, **overrides)
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_help_shows_the_parsed_defaults(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        usage, options = " ".join(capsys.readouterr().out.split()).split(" options: ")
+        shown = dict(re.findall(r"--([a-z-]+) (?:[A-Z_]+|\{[a-z,]+\}) [^()]*?\(default ([^)]*)\)",
+                                options))
+        assert set(shown) == set(re.findall(r"\[--([a-z-]+)", usage)) - {"help"}
+        config = parse_args([command])
+        for flag, text in shown.items():
+            value = getattr(config, flag.replace("-", "_"))
+            if text in SYMBOLIC_DEFAULTS:
+                assert value == SYMBOLIC_DEFAULTS[text], flag
+            elif isinstance(value, tuple):
+                assert text == ",".join(map(str, value)), flag
+            elif isinstance(value, str):
+                assert text == value, flag
+            else:
+                assert float(text) == pytest.approx(value, rel=1e-5), flag
+
+    def test_entropy_scan_config_needs_its_own_phi_min(self):
+        # The inner-zone grid is a flag default only, not a RunConfig default.
+        with pytest.raises(ValueError, match="--phi-min must be positive for entropy-scan"):
+            RunConfig(command="entropy-scan")
 
 
 class TestRunGround:

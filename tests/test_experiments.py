@@ -64,6 +64,14 @@ class TestScanFlux:
         with pytest.raises(ValueError, match="outside"):
             scan_flux(8, mu=0.0, xi=XI, phi_grid=[0.5, 2.0])
 
+    def test_nan_grid_rejected_before_any_solve(self, monkeypatch):
+        # NaN passes the ascending check: every comparison with it is False.
+        calls = []
+        monkeypatch.setattr(experiments, "solve_ground", calls.append)
+        with pytest.raises(ValueError, match="flux grid must be finite"):
+            scan_flux(8, mu=0.0, xi=XI, phi_grid=[0.1, 0.2, math.nan])
+        assert calls == []
+
 
 class TestGroundRecord:
     # The numeric/analytic pair the `ground` command records at one point.
@@ -113,6 +121,19 @@ class TestInteractionScan:
     def test_rejects_descending_grid(self):
         with pytest.raises(ValueError, match="ascending"):
             interaction_scan(8, XI, mu_grid=[0.0, -0.2, -0.4], phi_grid=[0.3, 0.6])
+
+    @pytest.mark.parametrize(
+        "mu_grid, phi_grid, named",
+        [([-0.2, math.nan, 0.1], None, "interaction grid must be finite"),
+         ([-0.2, 0.0, 0.1], [0.1, math.nan, 0.5], "flux grid must be finite")],
+        ids=["mu", "phi"],
+    )
+    def test_nan_grid_rejected_before_any_solve(self, monkeypatch, mu_grid, phi_grid, named):
+        calls = []
+        monkeypatch.setattr(experiments, "solve_ground", calls.append)
+        with pytest.raises(ValueError, match=named):
+            interaction_scan(8, XI, mu_grid=mu_grid, phi_grid=phi_grid)
+        assert calls == []
 
     def test_decoupled_legs_rejected_before_any_solve(self, monkeypatch):
         # At xi = 0 j_c vanishes identically: every row would be rounding noise.
@@ -299,6 +320,14 @@ class TestFiniteSizeExtrapolation:
     def test_rejects_too_few_sizes(self):
         with pytest.raises(ValueError, match="at least 3"):
             finite_size_extrapolation(ns=(20, 40))
+
+    def test_every_size_checked_before_any_solve(self, monkeypatch):
+        # An odd size last must not cost the find_mu_max runs before it.
+        calls = []
+        monkeypatch.setattr(experiments, "find_mu_max", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="unsupported particle number 13"):
+            finite_size_extrapolation(ns=(8, 12, 13), xi=XI)
+        assert calls == []
 
 
 class TestBandPanels:
