@@ -30,6 +30,8 @@ from .floquet import (
     build_floquet,
     build_heff,
     ground_state,
+    sector_ground,
+    sector_spectra,
     solve_ground,
     spectrum,
 )

@@ -19,15 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .floquet import (
-    BranchAmbiguityError,
-    SystemParams,
-    _sector_ground,
-    _sector_spectra,
-    _to_fock,
-    solve_ground,
-)
-from .lattice import dim_bec, rung_values
+from .floquet import BranchAmbiguityError, SystemParams, sector_ground, sector_spectra, solve_ground
+from .lattice import _check_boson_number, rung_values
 from .meanfield import band_energy, chiral_current_analytic, critical_flux, entropy_analytic, mu_critical
 from .observables import (
     chiral_current_normalized,
@@ -142,14 +135,21 @@ def analytic_pair(phi, xi):
     return chiral_current_analytic(phi, xi), entropy
 
 
-def _check_phi_grid(grid):
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("flux grid is empty")
+def _check_grid(values, name, min_points=1):
+    # At least min_points finite, strictly ascending floats; finiteness is
+    # checked first because NaN passes the ascending test.
+    grid = np.asarray(values, dtype=float)
+    if grid.size < min_points:
+        raise ValueError(f"{name} grid needs at least {min_points} point" + "s" * (min_points > 1))
     if not np.all(np.isfinite(grid)):
-        raise ValueError("flux grid must be finite")
+        raise ValueError(f"{name} grid must be finite")
     if np.any(np.diff(grid) <= 0):
-        raise ValueError("flux grid must be strictly ascending")
+        raise ValueError(f"{name} grid must be strictly ascending")
+    return grid
+
+
+def _check_phi_grid(phi_grid, min_points=1):
+    grid = _check_grid(DEFAULT_PHI_GRID if phi_grid is None else phi_grid, "flux", min_points)
     if grid[0] < 0.0 or grid[-1] > np.pi / 2.0 + 1e-12:
         raise ValueError(f"flux grid [{grid[0]}, {grid[-1]}] outside [0, pi/2]")
     return grid
@@ -164,7 +164,7 @@ def scan_flux(n_bosons, mu, xi, tau=0.01, phi_grid=None):
     (phi_grid=DEFAULT_PHI_GRID[1:]).  A branch ambiguity anywhere
     aborts the scan naming the offending flux.
     """
-    grid = _check_phi_grid(DEFAULT_PHI_GRID if phi_grid is None else phi_grid)
+    grid = _check_phi_grid(phi_grid)
 
     def point(phi):
         where = "flux scan aborted at phi={phi}"
@@ -271,14 +271,8 @@ def interaction_scan(n_bosons, xi, tau=0.01, mu_grid=None, phi_grid=None):
     """
     if xi == 0.0:
         raise ValueError("no current maximum at xi = 0: the legs decouple and j_c vanishes identically")
-    mu_values = np.asarray(DEFAULT_MU_GRID if mu_grid is None else mu_grid, dtype=float)
-    if mu_values.size < 3:
-        raise ValueError("interaction grid needs at least 3 points")
-    if not np.all(np.isfinite(mu_values)):
-        raise ValueError("interaction grid must be finite")
-    if np.any(np.diff(mu_values) <= 0):
-        raise ValueError("interaction grid must be strictly ascending")
-    grid = _check_phi_grid(DEFAULT_PHI_GRID if phi_grid is None else phi_grid)
+    mu_values = _check_grid(DEFAULT_MU_GRID if mu_grid is None else mu_grid, "interaction", 3)
+    grid = _check_phi_grid(phi_grid)
     rows, warm = [], None
     for mu in mu_values:
         peak_phi, peak_jc = _flux_peak(n_bosons, float(mu), xi, tau, grid, warm)
@@ -332,9 +326,7 @@ def find_mu_max(n_bosons, xi, tau=0.01, mu_grid=None, phi_grid=None):
     (mu_max, max_jc, rows): the current in 2 J_C/(N J) units and the
     interaction_scan rows the maximum was refined from.
     """
-    grid = _check_phi_grid(DEFAULT_PHI_GRID if phi_grid is None else phi_grid)
-    if grid.size < 2:
-        raise ValueError("flux grid needs at least 2 points: its step sets the mu polish window")
+    grid = _check_phi_grid(phi_grid, 2)  # its step sets the mu polish window
     rows = interaction_scan(n_bosons, xi, tau, mu_grid, grid)
     mu_max, max_jc = _refine_interaction_peak(rows, n_bosons, xi, tau, grid)
     return mu_max, max_jc, rows
@@ -369,15 +361,13 @@ def finite_size_extrapolation(ns=DEFAULT_NS, xi=0.5, tau=0.01, mu_grid=None, phi
     through (1/N, |mu_max - mu_c|); the intercept estimates the
     residual difference at 1/N = 0.  Returns (fit, mu_maxes) with one
     mu_max per size, in the order of ns.  Every size is checked to be a
-    positive even boson number before the first solve.
+    positive even integer before the first solve.
     """
-    sizes = tuple(int(n) for n in ns)
+    sizes = tuple(map(_check_boson_number, ns))
     if len(sizes) < 3:
         raise ValueError(f"extrapolation needs at least 3 sizes, got {len(sizes)}")
     if len(set(sizes)) != len(sizes):
         raise ValueError(f"duplicate system sizes in {sizes} make the fit degenerate")
-    for n_bosons in sizes:  # refuse an unsupported size before any solve
-        dim_bec(n_bosons)
 
     target = mu_critical(xi)
     mu_maxes = tuple(
@@ -403,14 +393,14 @@ def band_panels(n_bosons, xi, mu=0.0, tau=0.01, flux_list=None):
 
     def panel(flux):
         where = "band panel aborted at phi={phi}"
-        params, spec = _solve_at(_sector_spectra, where, n_bosons, mu, xi, tau, flux)
-        eps0, ground, sector = _sector_ground(spec, params)
+        _, spec = _solve_at(sector_spectra, where, n_bosons, mu, xi, tau, flux)
+        eps0, ground, sector = sector_ground(spec)
         # Eigenstate 0 is the ground state, also where rounding sorts the
         # other doublet member's quasienergy below it.
         order, winner = np.argsort(spec.quasienergies, axis=None, kind="stable"), sector * thetas.size
         order = np.concatenate([[winner], order[order != winner]])
         # A sector vector x is the state [x; +-x reversed]/sqrt(2).
-        left = np.swapaxes(_to_fock(spec.states, params), 1, 2).reshape(-1, thetas.size)[order]
+        left = np.swapaxes(spec.states, 1, 2).reshape(-1, thetas.size)[order]
         legs = np.stack([left, left[:, ::-1]]) / np.sqrt(2.0)
         density = np.abs(legs @ fourier_t) ** 2
         ground_map = fock_density_phase(ground)

@@ -40,10 +40,10 @@ solve_ground needs one eigenpair.  A Cholesky factorization of
 X - _COS_FLOOR I certifies every cos(eps tau) > _COS_FLOOR, so a sector's
 minimum -arcsin(lambda_Y)/tau is at its top eigenvalue of Y, and inverse
 iteration gives the winner's vector; where that fails (large mu N tau,
-e.g. N=100, mu=5) both sector spectra are solved in full.  The lower
-minimum wins, the even sector on a tie within DEGENERACY_TOL (a vortex
-doublet).  build_floquet, the general branch of spectrum and
-ground_state are the full-space reference route.
+e.g. N=100, mu=5) sector_spectra solves both sectors in full.  Either
+way sector_ground takes the lower minimum, the even sector on a tie
+within DEGENERACY_TOL (a vortex doublet).  build_floquet, the general
+branch of spectrum and ground_state are the full-space reference route.
 """
 
 from __future__ import annotations
@@ -73,6 +73,8 @@ __all__ = [
     "build_heff",
     "spectrum",
     "ground_state",
+    "sector_spectra",
+    "sector_ground",
     "solve_ground",
 ]
 
@@ -259,7 +261,7 @@ def spectrum(floquet_op, tau):
 def ground_state(spec):
     """Eigenpair with minimal quasienergy of a full-space spectrum.
 
-    No pipeline calls it: it is the full-space reference for solve_ground.
+    Only the parity-sector-route invariant and perfbench's set-up call it.
     When the two lowest quasienergies are degenerate (vortex phase at
     large N) the eigensolver returns an arbitrary basis of the doublet;
     the combination even under the parity operator is selected to keep
@@ -316,11 +318,6 @@ def _sector_operators(params):
     return 0.5 * (w + _transpose(w))
 
 
-def _sector_spectra(params):
-    # Both sectors' full spectra (rows 0 even, 1 odd) in one spectrum() call.
-    return spectrum(_sector_operators(params), params.tau)
-
-
 def _to_fock(vectors, params):
     # Sector vectors x = E4^{-1/2} Q y = S^T (conj(rows) y) on the rung
     # basis from adapted-basis columns y, stacked (2, d, k) like the spectra.
@@ -329,23 +326,37 @@ def _to_fock(vectors, params):
     return np.concatenate([(sym - anti)[:, ::-1], z[:, :1], sym + anti], axis=1)
 
 
+def sector_spectra(params):
+    """Both parity sectors' spectra of U_F, stacked with row 0 even.
+
+    Column j of states[s] is the rung-basis half x of the eigenstate
+    [x; +-x reversed]/sqrt(2), + in the even sector.
+    """
+    spec = spectrum(_sector_operators(params), params.tau)
+    return Spectrum(quasienergies=spec.quasienergies, states=_to_fock(spec.states, params))
+
+
 def _lower_sector(eps_even, eps_odd):
     # The sector of the ground state: the lower minimum, even on a tie.
     return 0 if eps_even <= eps_odd + DEGENERACY_TOL else 1
 
 
-def _sector_ground(spec, params):
-    # (eps0, state, sector) of solve_ground from spec's lowest eigenpairs.
+def sector_ground(spec):
+    """(eps0, state, sector) of U_F from sector_spectra or its first columns.
+
+    The lower sector minimum wins, the even sector (0) on a tie within
+    DEGENERACY_TOL; state = [x; +-x reversed] has unit norm to one ulp.
+    """
     eps_even, eps_odd = spec.quasienergies[:, 0]
     sector = _lower_sector(eps_even, eps_odd)
-    x = _to_fock(spec.states[:, :, :1], params)[sector, :, 0]
+    x = spec.states[sector, :, 0]
     state = np.concatenate([x, (1 - 2 * sector) * x[::-1]])
     return min(eps_even, eps_odd), state / np.linalg.norm(state), sector
 
 
 def _certified_ground(params):
-    # Both sectors' lowest quasienergies and the winner's vector (the other
-    # column zero) as a (2, d, 1) Spectrum; None where the certificate fails.
+    # Both sectors' lowest quasienergies and the winner's x (the other column
+    # zero) in sector_spectra's form, shaped (2, d, 1); None if uncertified.
     w = _sector_operators(params)
     eye = np.eye(w.shape[-1])
     try:
@@ -364,7 +375,7 @@ def _certified_ground(params):
         return None
     states = np.zeros((2, eye.shape[0], 1))
     states[sector, :, 0] = vector
-    return Spectrum(quasienergies=eps[:, None], states=states)
+    return Spectrum(quasienergies=eps[:, None], states=_to_fock(states, params))
 
 
 def solve_ground(params):
@@ -372,10 +383,7 @@ def solve_ground(params):
 
     Ground-only where the Cholesky certificate holds, else from both full
     sector spectra (module docstring); either way every quasienergy of U_F
-    is clear of the zone edge.  eps0 is the lower sector minimum, and the
-    winner's vector x on the rung basis becomes [x; +-x reversed], an
-    exact parity eigenstate of unit norm to within one ulp.
+    is clear of the zone edge, and the state is sector_ground's.
     """
-    spec = _certified_ground(params)
-    eps0, state, _ = _sector_ground(_sector_spectra(params) if spec is None else spec, params)
+    eps0, state, _ = sector_ground(_certified_ground(params) or sector_spectra(params))
     return eps0, state

@@ -5,6 +5,8 @@ a stale entry there breaks traced runs as surely as a broken import.
 No module reads the process environment, so a run's configuration is
 exactly the RunConfig its sidecar records.  numpy is the one run-time
 dependency: no module imports scipy, and a CLI run loads none of it.
+Only floquet itself touches a private floquet name: the parity-sector
+route is public.
 """
 
 import ast
@@ -116,3 +118,47 @@ def test_cli_run_loads_no_scipy(tmp_path):
     )
     assert (tmp_path / "ground.csv").exists()
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_floquet_uses(path):
+    # (line, name) of every _-prefixed name imported from floquet or read
+    # as an attribute of the name floquet.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("floquet", "fockladder.floquet"):
+            uses += [(node.lineno, a.name) for a in node.names if _is_private(a.name)]
+        elif (isinstance(node, ast.Attribute) and _is_private(node.attr)
+              and isinstance(node.value, ast.Name) and node.value.id == "floquet"):
+            uses.append((node.lineno, node.attr))
+    return uses
+
+
+def test_no_module_uses_a_private_floquet_name():
+    package_dir = pathlib.Path(fockladder.__file__).parent
+    sources = [path for path in sorted(package_dir.glob("*.py")) if path.name != "floquet.py"]
+    assert sources, f"no modules found in {package_dir}"
+    uses = [
+        f"{path.name}:{line} {name}"
+        for path in sources
+        for line, name in private_floquet_uses(path)
+    ]
+    assert uses == []
+
+
+def test_private_floquet_guard_sees_imports_and_attributes(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "from .floquet import _to_fock, solve_ground\n"
+        "from fockladder.floquet import _lower_sector\n"
+        "from . import floquet\n"
+        "floquet._sector_operators(None), floquet.__all__, floquet.spectrum\n",
+        encoding="utf-8",
+    )
+    assert sorted(private_floquet_uses(source)) == [
+        (1, "_to_fock"), (2, "_lower_sector"), (4, "_sector_operators"),
+    ]

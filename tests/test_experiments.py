@@ -60,6 +60,10 @@ class TestScanFlux:
         with pytest.raises(ValueError, match="ascending"):
             scan_flux(8, mu=0.0, xi=XI, phi_grid=[0.5, 0.4])
 
+    def test_rejects_empty_grid(self):
+        with pytest.raises(ValueError, match=r"^flux grid needs at least 1 point$"):
+            scan_flux(8, mu=0.0, xi=XI, phi_grid=[])
+
     def test_rejects_grid_outside_domain(self):
         with pytest.raises(ValueError, match="outside"):
             scan_flux(8, mu=0.0, xi=XI, phi_grid=[0.5, 2.0])
@@ -329,6 +333,14 @@ class TestFiniteSizeExtrapolation:
             finite_size_extrapolation(ns=(8, 12, 13), xi=XI)
         assert calls == []
 
+    def test_fractional_size_refused_before_any_solve(self, monkeypatch):
+        # Truncating it would silently run 8.9 as N=8.
+        calls = []
+        monkeypatch.setattr(experiments, "find_mu_max", lambda *args: calls.append(args))
+        with pytest.raises(TypeError, match="boson number must be an integer, got 8.9"):
+            finite_size_extrapolation(ns=(8.9, 12, 16), xi=XI)
+        assert calls == []
+
 
 class TestBandPanels:
     def test_default_fluxes_bracket_transition(self):
@@ -411,7 +423,7 @@ class TestBranchAbortMessages:
             raise BranchAmbiguityError("edge")
 
         monkeypatch.setattr(experiments, "solve_ground", refuse)
-        monkeypatch.setattr(experiments, "_sector_spectra", refuse)
+        monkeypatch.setattr(experiments, "sector_spectra", refuse)
 
     def test_flux_scan_names_the_flux(self, ambiguous):
         with pytest.raises(BranchAmbiguityError, match=r"^flux scan aborted at phi=0.5: edge$"):

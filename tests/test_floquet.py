@@ -9,11 +9,13 @@ from fockladder.floquet import (
     build_floquet,
     build_heff,
     ground_state,
+    sector_ground,
+    sector_spectra,
     solve_ground,
     spectrum,
 )
 from fockladder import floquet
-from fockladder.floquet import _certified_ground, _sector_ground, _sector_spectra
+from fockladder.floquet import _certified_ground
 from fockladder.lattice import (
     SIGMA_X,
     SIGMA_Z,
@@ -344,22 +346,29 @@ class TestSolveGround:
         # U' = E4^{1/2} U_F E4^{-1/2} in full space, restricted to each parity
         # sector as U'_LL +- U'_LR R and taken to the adapted basis, is
         # symmetric before any symmetrising; without the frame change it is
-        # not.  The sector spectra are eigenpairs of it.
+        # not.  Its eigenvectors are the real orthogonal O of eigh(Y), and
+        # sector_spectra maps them to eigenstates [x; +-x reversed]/sqrt2 of
+        # U_F itself.
         params = SystemParams(n=n, mu=mu, xi=xi, phi=phi)
         size = n + 1
         q, reversal = adapted_basis(n), np.eye(size)[::-1]
         half_e4 = expm(0.25j * n * xi * params.tau * np.kron(SIGMA_X, np.eye(size)))
         u = build_floquet(params)
         framed = half_e4 @ u @ half_e4.conj().T
-        spec = _sector_spectra(params)
-        assert np.isrealobj(spec.states)
+        adapted = spectrum(floquet._sector_operators(params), params.tau)
+        assert np.isrealobj(adapted.states)
+        spec = sector_spectra(params)
+        np.testing.assert_array_equal(spec.quasienergies, adapted.quasienergies)
         for k, sign in enumerate((1.0, -1.0)):
             w = q.conj().T @ (framed[:size, :size] + sign * framed[:size, size:] @ reversal) @ q
             assert np.abs(w - w.T).max() <= 1e-14
             plain = q.conj().T @ (u[:size, :size] + sign * u[:size, size:] @ reversal) @ q
             assert np.abs(plain - plain.T).max() >= 1e-4
             phases = np.exp(-1j * spec.quasienergies[k] * params.tau)
-            assert np.abs(w @ spec.states[k] - spec.states[k] * phases).max() <= 1e-12
+            assert np.abs(w @ adapted.states[k] - adapted.states[k] * phases).max() <= 1e-12
+            states = np.concatenate([spec.states[k], sign * spec.states[k][::-1]]) / np.sqrt(2.0)
+            assert np.abs(u @ states - states * phases).max() <= 1e-12
+            assert np.abs(states.conj().T @ states - np.eye(size)).max() <= 1e-12
 
     @pytest.mark.parametrize(
         "params, doublet",
@@ -391,7 +400,7 @@ class TestSolveGround:
         def refuse(params):
             raise AssertionError("full sector solve on a certified point")
 
-        monkeypatch.setattr(floquet, "_sector_spectra", refuse)
+        monkeypatch.setattr(floquet, "sector_spectra", refuse)
         for phi in np.linspace(0.0, np.pi / 2.0, 13):
             eps, state = solve_ground(SystemParams(n=100, mu=0.0, xi=0.5, phi=float(phi)))
             assert np.isfinite(eps) and abs(np.linalg.norm(state) - 1.0) <= np.finfo(float).eps
@@ -403,7 +412,7 @@ class TestSolveGround:
         params = SystemParams(n=100, mu=5.0, xi=0.5, phi=phi)
         assert _certified_ground(params) is None
         eps, state = solve_ground(params)
-        full_eps, full_state, _ = _sector_ground(_sector_spectra(params), params)
+        full_eps, full_state, _ = sector_ground(sector_spectra(params))
         assert eps == full_eps
         np.testing.assert_array_equal(state, full_state)
 
@@ -415,13 +424,16 @@ class TestSolveGround:
         monkeypatch.setattr(floquet, "_RESIDUAL_LIMIT", -1.0)
         assert _certified_ground(params) is None
         eps, state = solve_ground(params)
-        full_eps, full_state, _ = _sector_ground(_sector_spectra(params), params)
+        full_eps, full_state, _ = sector_ground(sector_spectra(params))
         assert eps == full_eps
         np.testing.assert_array_equal(state, full_state)
 
     @pytest.mark.parametrize("params", NEAR_DOUBLETS)
     def test_both_routes_pick_one_sector_at_near_doublets(self, params):
-        certified = _certified_ground(params)
+        # The same sector and, up to sign, the same rung-basis vector x.
+        certified, full = _certified_ground(params), sector_spectra(params)
         assert certified is not None
-        _, _, sector = _sector_ground(certified, params)
-        assert sector == _sector_ground(_sector_spectra(params), params)[2]
+        _, _, sector = sector_ground(certified)
+        assert sector == sector_ground(full)[2]
+        overlap = np.vdot(certified.states[sector, :, 0], full.states[sector, :, 0])
+        assert abs(abs(overlap) - 1.0) <= 1e-12
