@@ -17,6 +17,9 @@ of the whole payload.
 Every input rule lives in RunConfig.__post_init__; argparse only turns
 text into ints, floats and lists.  A config parsed from flags, built in
 code or loaded from a sidecar is therefore checked by the same rules.
+What the library owns is read from it, not restated: lattice's
+boson-number rule, meanfield's flux bound, SystemParams.tau and the
+default grids.  The JSON writer spells a numpy scalar as its .item().
 Each flag is declared once: _COMMANDS lists every command with its
 flags, _FLAGS every flag's type and help, and a flag's default, shown
 in its help, is its RunConfig field's default.  The one per-command
@@ -43,23 +46,20 @@ import numpy as np
 
 from . import __version__
 from .experiments import (
+    DEFAULT_MU_GRID,
     DEFAULT_NS,
     DEFAULT_PHI_GRID,
     GUARD_POINTS,
-    analytic_pair,
+    ScanRecord,
     band_panels,
     find_mu_max,
     finite_size_extrapolation,
     scan_flux,
 )
 from .floquet import BranchAmbiguityError, SystemParams, solve_ground
-from .lattice import rung_values
-from .meanfield import mu_critical
-from .observables import (
-    chiral_current_normalized,
-    entanglement_entropy_numeric,
-    fock_density_phase,
-)
+from .lattice import _check_boson_number, rung_values
+from .meanfield import _FLUX_MAX, mu_critical
+from .observables import fock_density_phase
 from .validation import run_invariant_suite
 
 __all__ = ["RunConfig", "parse_args", "run", "main", "load_sidecar_config"]
@@ -68,26 +68,22 @@ __all__ = ["RunConfig", "parse_args", "run", "main", "load_sidecar_config"]
 # the analytic entropy is singular at zero flux.
 ENTROPY_PHI_MIN = float(DEFAULT_PHI_GRID[1])
 
-HALF_PI = math.pi / 2.0
-
-
-def _even_bosons(value):
-    return isinstance(value, (int, np.integer)) and value > 0 and value % 2 == 0
-
 
 def _at_least(minimum):
     return lambda value: isinstance(value, (int, np.integer)) and value >= minimum
 
 
 # field -> (test, what the value must be); messages name the CLI flag.
+# A test fails by returning a false value or by raising TypeError or
+# ValueError, as lattice's boson-number check does.
 _RULES = {
-    "n": (_even_bosons, "a positive even integer"),
+    "n": (_check_boson_number, "a positive even integer"),
     "xi": (lambda value: value >= 0.0, "nonnegative"),
     "tau": (lambda value: value > 0.0, "positive"),
     "phi_points": (_at_least(2), "an integer of at least 2"),
     "mu_points": (_at_least(3), "an integer of at least 3"),
     "ns": (lambda value: len(value) >= 3 and len(set(value)) == len(value)
-           and all(map(_even_bosons, value)),
+           and all(map(_check_boson_number, value)),
            "at least 3 distinct positive even integers"),
     "fluxes": (lambda value: value is None or (len(value) > 0 and all(map(math.isfinite, value))),
                "'auto' or a list of finite numbers"),
@@ -101,10 +97,11 @@ class RunConfig:
 
     Fields a command does not consume keep their defaults, so any
     config serializes to the same shape and the sidecar round-trip is
-    a plain field-by-field comparison.  The defaults are the CLI's,
-    except entropy-scan's flux grid (phi_min = ENTROPY_PHI_MIN, 120
-    points, see _COMMANDS): code that builds an entropy-scan config
-    passes a positive phi_min itself.
+    a plain field-by-field comparison.  The defaults are the library's:
+    tau is SystemParams.tau and the grids rebuild DEFAULT_PHI_GRID and
+    DEFAULT_MU_GRID, except entropy-scan's flux grid (phi_min =
+    ENTROPY_PHI_MIN, one point fewer, see _COMMANDS): code that builds
+    an entropy-scan config passes a positive phi_min itself.
 
     __post_init__ holds every input rule: a finite check on each float
     field, the per-field table _RULES and the flux and interaction grid
@@ -118,13 +115,13 @@ class RunConfig:
     mu: float = 0.0
     xi: float = 0.5
     phi: float = 0.0
-    tau: float = 0.01
-    phi_min: float = 0.0
-    phi_max: float = HALF_PI
-    phi_points: int = 121
-    mu_min: float = -0.6
-    mu_max: float = 0.1
-    mu_points: int = 71
+    tau: float = SystemParams.tau
+    phi_min: float = float(DEFAULT_PHI_GRID[0])
+    phi_max: float = float(DEFAULT_PHI_GRID[-1])
+    phi_points: int = DEFAULT_PHI_GRID.size
+    mu_min: float = float(DEFAULT_MU_GRID[0])
+    mu_max: float = float(DEFAULT_MU_GRID[-1])
+    mu_points: int = DEFAULT_MU_GRID.size
     ns: tuple = DEFAULT_NS
     fluxes: tuple | None = None
     out: str | None = None
@@ -139,13 +136,13 @@ class RunConfig:
             value = getattr(self, name)
             try:
                 holds = test(value)
-            except TypeError:  # a value of the wrong type, say a quoted number
+            except (TypeError, ValueError):  # see _RULES
                 holds = False
             if not holds:
                 raise ValueError(f"--{name.replace('_', '-')} must be {what}, got {value!r}")
         if self.phi_min >= self.phi_max:
             raise ValueError("--phi-min must be smaller than --phi-max")
-        if self.phi_min < 0.0 or self.phi_max > HALF_PI + 1e-12:
+        if self.phi_min < 0.0 or self.phi_max > _FLUX_MAX:
             raise ValueError("--phi-min and --phi-max must lie within [0, pi/2]")
         if self.command == "entropy-scan" and self.phi_min <= 0.0:
             raise ValueError("--phi-min must be positive for entropy-scan")
@@ -255,18 +252,7 @@ def parse_args(argv=None):
 
 # ---------------------------------------------------------------- writers
 
-def _native(value):
-    if value is None:
-        return None
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return float(value)
-
-
 def _format_cell(value):
-    value = _native(value)
     if value is None:
         return ""
     return format(value, ".17g") if isinstance(value, float) else str(value)
@@ -287,7 +273,8 @@ def _write_json(path, payload):
     indent is set; here each innermost row is formatted as one joined
     string and written at once, so a document is never held whole.
     ndarrays are written as their .tolist() would be, walked along their
-    first axis; dict keys must be strings.
+    first axis, and any other numpy scalar as its .item(); dict keys
+    must be strings.
     """
     with open(path, "w", encoding="utf-8") as handle:
         _dump_json(payload, handle.write, "\n")
@@ -320,7 +307,13 @@ def _dump_json(value, write, pad):
     elif isinstance(value, (list, tuple)):
         write(_json_row(value, inner, pad))
     else:
-        write(json.dumps(value))
+        write(_json_scalar(value))
+
+
+def _json_scalar(value):
+    # json writes np.float64 as the float it is, and numpy integers and
+    # bools, which are not ints, as their .item().
+    return json.dumps(value, default=np.generic.item)
 
 
 def _json_row(row, inner, pad):
@@ -335,7 +328,7 @@ def _json_row(row, inner, pad):
             return "[" + inner + separator.join(map(float.__repr__, row)) + pad + "]"
     except (TypeError, OverflowError):
         pass
-    return "[" + inner + separator.join(map(json.dumps, row)) + pad + "]"
+    return "[" + inner + separator.join(map(_json_scalar, row)) + pad + "]"
 
 
 def _unmask(value):
@@ -384,9 +377,7 @@ def _cmd_ground(config):
                           phi=config.phi, tau=config.tau)
     eps0, state = solve_ground(params)
     fock = fock_density_phase(state)
-    jc = chiral_current_normalized(state, config.phi)
-    ent = entanglement_entropy_numeric(state)
-    jc_ana, ent_ana = analytic_pair(config.phi, config.xi)
+    record = ScanRecord.from_state(params, state)
     header = ["leg [m]", "rung [n]", "density [prob]", "phase [rad]"]
     rungs = rung_values(config.n)
     phase = _phase_rows(fock.phase)
@@ -394,14 +385,10 @@ def _cmd_ground(config):
     for m_index, m in enumerate((-1, 1)):
         for k in range(config.n + 1):
             rows.append([m, rungs[k], fock.density[m_index, k], phase[m_index][k]])
-    result = {
-        "quasienergy": float(eps0),
-        "jc_numeric": jc,
-        "jc_analytic": jc_ana,
-        "entropy_numeric": ent,
-        "entropy_analytic": ent_ana,
-    }
-    line = (f"ground: quasienergy={eps0:.10g} jc={jc:.10g} entropy={ent:.10g}")
+    result = {"quasienergy": float(eps0), **vars(record)}
+    del result["params"]
+    line = (f"ground: quasienergy={eps0:.10g} jc={record.jc_numeric:.10g} "
+            f"entropy={record.entropy_numeric:.10g}")
     return header, rows, None, result, [line]
 
 
@@ -456,16 +443,15 @@ def _cmd_fss(config):
     fit, mu_maxes = finite_size_extrapolation(
         ns=config.ns, xi=config.xi, tau=config.tau, mu_grid=_mu_grid(config),
         phi_grid=_phi_grid(config))
-    target = mu_critical(config.xi)
     header = ["n [bosons]", "inverse_n [1/bosons]",
               "mu_max [dimensionless]", "abs_mu_diff [dimensionless]"]
-    rows = [[n, 1.0 / n, mu_max, abs(mu_max - target)]
-            for n, mu_max in zip(config.ns, mu_maxes)]
+    rows = [[n, inverse_n, mu_max, diff]
+            for n, mu_max, (inverse_n, diff) in zip(config.ns, mu_maxes, fit.points)]
     result = {
         "slope": fit.slope,
         "intercept": fit.intercept,
         "r_squared": fit.r_squared,
-        "mu_c": target,
+        "mu_c": mu_critical(config.xi),
     }
     line = (f"fss: intercept={fit.intercept:.10g} slope={fit.slope:.10g} "
             f"r_squared={fit.r_squared:.10g}")
@@ -509,7 +495,8 @@ _COMMANDS = {
             f"ns xi tau {_PHI_GRID} {_MU_GRID}", {}),
     # The analytic entropy is singular at zero flux: start one step in.
     "entropy-scan": (_cmd_flux_scan, "impurity entanglement entropy versus flux",
-                     f"n xi tau {_PHI_GRID}", {"phi_min": ENTROPY_PHI_MIN, "phi_points": 120}),
+                     f"n xi tau {_PHI_GRID}",
+                     {"phi_min": ENTROPY_PHI_MIN, "phi_points": DEFAULT_PHI_GRID.size - 1}),
     "validate": (_cmd_validate, "run the cross-module invariant suite", "", {}),
 }
 
@@ -536,10 +523,7 @@ def run(config):
             _write_csv(out_path, header, rows)
         else:
             if payload is None:
-                payload = {
-                    "columns": header,
-                    "rows": [[_native(cell) for cell in row] for row in rows],
-                }
+                payload = {"columns": header, "rows": rows}
             _write_json(out_path, payload)
         _write_json(out_path + ".meta.json", {"version": __version__, "config": config.to_dict(),
                                               "wall_time_s": round(wall_time, 6), "result": result})

@@ -21,7 +21,8 @@ import numpy as np
 
 from .floquet import BranchAmbiguityError, SystemParams, sector_ground, sector_spectra, solve_ground
 from .lattice import _check_boson_number, rung_values
-from .meanfield import band_energy, chiral_current_analytic, critical_flux, entropy_analytic, mu_critical
+from .meanfield import (_FLUX_MAX, band_energy, chiral_current_analytic, critical_flux,
+                        entropy_analytic, mu_critical)
 from .observables import (
     chiral_current_normalized,
     entanglement_entropy_numeric,
@@ -78,6 +79,13 @@ class ScanRecord:
     entropy_numeric: float
     entropy_analytic: float | None
 
+    @classmethod
+    def from_state(cls, params, state):
+        """Both observable pairs of the ground state solved at params."""
+        jc, entropy = analytic_pair(params.phi, params.xi)
+        return cls(params, chiral_current_normalized(state, params.phi), jc,
+                   entanglement_entropy_numeric(state), entropy)
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -129,7 +137,7 @@ def analytic_pair(phi, xi):
     entropy form is singular at zero flux, where only the current's
     (0.0) is returned.
     """
-    if xi == 0.0 or not 0.0 <= phi <= np.pi / 2.0:
+    if xi == 0.0 or not 0.0 <= phi <= _FLUX_MAX:
         return None, None
     entropy = entropy_analytic(phi, xi) if np.sin(phi) != 0.0 else None
     return chiral_current_analytic(phi, xi), entropy
@@ -150,12 +158,12 @@ def _check_grid(values, name, min_points=1):
 
 def _check_phi_grid(phi_grid, min_points=1):
     grid = _check_grid(DEFAULT_PHI_GRID if phi_grid is None else phi_grid, "flux", min_points)
-    if grid[0] < 0.0 or grid[-1] > np.pi / 2.0 + 1e-12:
+    if grid[0] < 0.0 or grid[-1] > _FLUX_MAX:
         raise ValueError(f"flux grid [{grid[0]}, {grid[-1]}] outside [0, pi/2]")
     return grid
 
 
-def scan_flux(n_bosons, mu, xi, tau=0.01, phi_grid=None):
+def scan_flux(n_bosons, mu, xi, tau=SystemParams.tau, phi_grid=None):
     """Chiral current and impurity entropy versus flux, numeric against analytic.
 
     Returns one ScanRecord per grid flux, ascending, each holding both
@@ -169,14 +177,7 @@ def scan_flux(n_bosons, mu, xi, tau=0.01, phi_grid=None):
     def point(phi):
         where = "flux scan aborted at phi={phi}"
         params, (_, state) = _solve_at(solve_ground, where, n_bosons, mu, xi, tau, phi)
-        jc, entropy = analytic_pair(params.phi, xi)
-        return ScanRecord(
-            params=params,
-            jc_numeric=chiral_current_normalized(state, params.phi),
-            jc_analytic=jc,
-            entropy_numeric=entanglement_entropy_numeric(state),
-            entropy_analytic=entropy,
-        )
+        return ScanRecord.from_state(params, state)
 
     return [point(phi) for phi in grid]
 
@@ -262,7 +263,7 @@ def _flux_peak(n_bosons, mu, xi, tau, grid, warm=None, xatol=PEAK_XATOL):
     return best_phi, best
 
 
-def interaction_scan(n_bosons, xi, tau=0.01, mu_grid=None, phi_grid=None):
+def interaction_scan(n_bosons, xi, tau=SystemParams.tau, mu_grid=None, phi_grid=None):
     """Peak chiral current versus interaction strength.
 
     Returns a list of (mu, peak_phi, peak_jc) triples, one per grid
@@ -314,7 +315,7 @@ def _refine_interaction_peak(rows, n_bosons, xi, tau, flux_grid):
     )
 
 
-def find_mu_max(n_bosons, xi, tau=0.01, mu_grid=None, phi_grid=None):
+def find_mu_max(n_bosons, xi, tau=SystemParams.tau, mu_grid=None, phi_grid=None):
     """Interaction strength maximizing the peak chiral current.
 
     For each mu on the grid the current is maximized over flux
@@ -354,7 +355,8 @@ def fit_inverse_size(points):
     )
 
 
-def finite_size_extrapolation(ns=DEFAULT_NS, xi=0.5, tau=0.01, mu_grid=None, phi_grid=None):
+def finite_size_extrapolation(ns=DEFAULT_NS, xi=0.5, tau=SystemParams.tau, mu_grid=None,
+                              phi_grid=None):
     """Extrapolate |mu_max(N) - mu_c| to the thermodynamic limit.
 
     Runs find_mu_max per system size and fits a least-squares line
@@ -383,7 +385,7 @@ def default_fluxes(xi):
     return (0.5 * phi_c, phi_c, 1.5 * phi_c)
 
 
-def band_panels(n_bosons, xi, mu=0.0, tau=0.01, flux_list=None):
+def band_panels(n_bosons, xi, mu=0.0, tau=SystemParams.tau, flux_list=None):
     """Band curves, eigenstate phase densities and ground strips per flux."""
     fluxes = default_fluxes(xi) if flux_list is None else tuple(float(f) for f in flux_list)
     if not fluxes:

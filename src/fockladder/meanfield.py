@@ -36,6 +36,16 @@ __all__ = [
     "entropy_analytic",
 ]
 
+# The flux domain [0, pi/2] of every closed form here, with slack for a
+# grid whose last point rounds just above pi/2.  The other modules read
+# their flux bound from here.
+_FLUX_MAX = np.pi / 2.0 + 1e-12
+
+
+def _check_flux(phi):
+    if not 0.0 <= phi <= _FLUX_MAX:
+        raise ValueError(f"flux {phi} outside [0, pi/2]")
+
 
 def band_energy(theta, phi, xi, n_bosons, band="lower"):
     """Band energies E(theta)/J = -(N/2)[cos t cos p -+ sqrt(xi^2 + sin^2 t sin^2 p)].
@@ -100,8 +110,7 @@ def theta0(phi, xi):
     """
     if xi <= 0:
         raise ValueError(f"tunneling ratio xi must be > 0, got {xi}")
-    if not 0.0 <= phi <= np.pi / 2.0 + 1e-12:
-        raise ValueError(f"flux {phi} outside [0, pi/2]")
+    _check_flux(phi)
     if phi <= critical_flux(xi):
         return (0.0,)
     sin2 = np.sin(phi) ** 2 - xi**2 / np.tan(phi) ** 2
@@ -118,8 +127,7 @@ def chiral_current_analytic(phi, xi):
     """
     if xi <= 0:
         raise ValueError(f"tunneling ratio xi must be > 0, got {xi}")
-    if not 0.0 <= phi <= np.pi / 2.0 + 1e-12:
-        raise ValueError(f"flux {phi} outside [0, pi/2]")
+    _check_flux(phi)
     if phi <= critical_flux(xi):
         return float(np.sin(phi))
     sin2 = np.sin(phi) ** 2
@@ -143,10 +151,12 @@ def entropy_analytic(phi, xi):
     Mixture weights f = (1 +- xi / (sin phi sqrt(xi^2 + sin^2 phi)))/2,
     clamped into [0, 1] before the logarithms; the clamp also returns
     exactly 0 throughout the Meissner phase, where the ratio reaches 1
-    at phi_c and exceeds it below.  Singular at sin phi = 0.
+    at phi_c and exceeds it below.  Refuses flux outside [0, pi/2],
+    and is singular at sin phi = 0.
     """
     if xi <= 0:
         raise ValueError(f"tunneling ratio xi must be > 0, got {xi}")
+    _check_flux(phi)
     s = np.sin(phi)
     if s == 0.0:
         raise ValueError(

@@ -143,13 +143,14 @@ def entanglement_entropy_numeric(state):
 
     The reduced density matrix is 2x2, so the entropy lies in
     [0, ln 2]; eigenvalues are clamped into [0, 1] before the
-    logarithms and 0 ln 0 counts as 0.
+    logarithms and 0 ln 0 counts as 0; + 0.0 turns the -0.0 of a
+    product state into 0.0.
     """
     left, right = _split_legs(state)
     psi = np.vstack([left, right])
     rho = psi @ psi.conj().T
     weights = np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0)
-    return float(-sum(w * math.log(w) for w in weights if w > 0.0))
+    return float(-sum(w * math.log(w) for w in weights if w > 0.0)) + 0.0
 
 
 def rung_second_moment(state):

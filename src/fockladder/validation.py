@@ -338,9 +338,8 @@ def _check_doublet_splitting():
     phi = 1.5 * meanfield.critical_flux(xi)
     splittings = []
     for n in (20, 40, 60, 80, 100):
-        spec = floquet.spectrum(
-            floquet.build_floquet(floquet.SystemParams(n=n, mu=0.0, xi=xi, phi=phi)), 0.01
-        )
+        params = floquet.SystemParams(n=n, mu=0.0, xi=xi, phi=phi)
+        spec = floquet.spectrum(floquet.build_floquet(params), params.tau)
         splittings.append(spec.quasienergies[1] - spec.quasienergies[0])
     decreasing = bool(np.all(np.diff(splittings) < 0))
     return _result(

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import math
 import os
@@ -13,7 +14,6 @@ import fockladder
 from fockladder.cli import (
     _COMMANDS,
     ENTROPY_PHI_MIN,
-    HALF_PI,
     RunConfig,
     _write_json,
     load_sidecar_config,
@@ -21,8 +21,25 @@ from fockladder.cli import (
     parse_args,
     run,
 )
-from fockladder.experiments import finite_size_extrapolation
+from fockladder.experiments import (
+    DEFAULT_MU_GRID,
+    DEFAULT_PHI_GRID,
+    band_panels,
+    find_mu_max,
+    finite_size_extrapolation,
+    interaction_scan,
+    scan_flux,
+)
+from fockladder.floquet import SystemParams
 from fockladder.meanfield import mu_critical
+
+
+def subprocess_env(**variables):
+    # pytest's pythonpath setting does not reach a subprocess: put the
+    # package's source directory on its PYTHONPATH.
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(fockladder.__file__)))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, **variables, "PYTHONPATH": path}
 
 
 def usage_exit(argv):
@@ -119,14 +136,29 @@ class TestRunConfig:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("n", 101), ("tau", 0.0), ("phi_points", 1), ("ns", (20, 40)), ("mu", math.nan),
-         ("fluxes", ())],
-        ids=["n", "tau", "phi_points", "ns", "mu", "fluxes"],
+        [("n", 101), ("n", True), ("n", 2.0), ("n", np.int64(7)), ("tau", 0.0),
+         ("phi_points", 1), ("ns", (20, 40)), ("mu", math.nan), ("fluxes", ())],
+        ids=["n", "n-bool", "n-float", "n-odd-int64", "tau", "phi_points", "ns", "mu", "fluxes"],
     )
     def test_rejects_out_of_rule_values(self, field, value):
         flag = "--" + field.replace("_", "-")
         with pytest.raises(ValueError, match=f"^{flag} must be"):
             RunConfig(command="ground", **{field: value})
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "command, fields",
+        [("ground", {"n": np.int64(8)}),
+         ("fss", {"ns": tuple(np.array([8, 12, 16])), "mu_min": -0.7, "mu_max": -0.2,
+                  "mu_points": 6, "phi_points": 9})],
+        ids=["ground", "fss"],
+    )
+    def test_numpy_integers_run_and_round_trip(self, tmp_path, command, fields, fmt):
+        # The rules accept numpy integers, so the writers must spell them.
+        out = tmp_path / f"run.{fmt}"
+        config = RunConfig(command=command, format=fmt, out=str(out), **fields)
+        assert run(config) == 0
+        assert load_sidecar_config(f"{out}.meta.json") == config
 
     @pytest.mark.parametrize(
         "edit, named",
@@ -156,7 +188,7 @@ class TestRunConfig:
 
 
 # Defaults the help spells symbolically, and the values they stand for.
-SYMBOLIC_DEFAULTS = {"pi/2": HALF_PI, "auto": None, "<command>.<format>": None}
+SYMBOLIC_DEFAULTS = {"pi/2": math.pi / 2, "auto": None, "<command>.<format>": None}
 
 
 class TestCommandTable:
@@ -187,6 +219,18 @@ class TestCommandTable:
                 assert text == value, flag
             else:
                 assert float(text) == pytest.approx(value, rel=1e-5), flag
+
+    def test_defaults_are_the_library_defaults(self):
+        config = parse_args(["mu-scan"])
+        assert config.tau == SystemParams.tau
+        for pipeline in (scan_flux, interaction_scan, find_mu_max, finite_size_extrapolation,
+                         band_panels):
+            tau = inspect.signature(pipeline).parameters["tau"].default
+            assert tau == SystemParams.tau, pipeline.__name__
+        phi_grid = np.linspace(config.phi_min, config.phi_max, config.phi_points)
+        mu_grid = np.linspace(config.mu_min, config.mu_max, config.mu_points)
+        assert phi_grid.tobytes() == DEFAULT_PHI_GRID.tobytes()
+        assert mu_grid.tobytes() == DEFAULT_MU_GRID.tobytes()
 
     def test_entropy_scan_config_needs_its_own_phi_min(self):
         # The inner-zone grid is a flag default only, not a RunConfig default.
@@ -256,15 +300,13 @@ class TestRunScans:
         assert first.read_bytes() == second.read_bytes()
 
     def test_blas_thread_count_does_not_change_the_data(self, tmp_path):
-        package_root = os.path.dirname(os.path.dirname(os.path.abspath(fockladder.__file__)))
-        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         tables = []
         for threads in ("1", "2"):
             out = tmp_path / f"scan-{threads}.csv"
             proc = subprocess.run(
                 [sys.executable, "-m", "fockladder", "current-scan", "--n", "20",
                  "--phi-points", "11", "--out", str(out)],
-                env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path},
+                env=subprocess_env(OPENBLAS_NUM_THREADS=threads),
                 capture_output=True, text=True,
             )
             assert proc.returncode == 0, proc.stderr
@@ -372,7 +414,8 @@ class TestRunScans:
 
 
 def _stdlib_json(value):
-    return json.dumps(value, indent=2, default=np.ndarray.tolist) + "\n"
+    # An ndarray as its .tolist(), and so a numpy scalar as its .item().
+    return json.dumps(value, indent=2, default=lambda item: item.tolist()) + "\n"
 
 
 class TestJsonWriter:
@@ -386,8 +429,9 @@ class TestJsonWriter:
             {"a": {}, "b": [], "c": [[], {}, [[]]], "d": ()},
             [1.5, None, math.nan, math.inf, -math.inf, -0.0, 1e-300, 0.1],
             np.array([0.5, math.nan, math.inf, -math.inf, -0.0, 1e-300]),
-            [np.float64(0.1), np.float64(-2.5e-8), True, False, 3, -7, None],
-            {"x": np.float64(1 / 3), "flag": True, "count": 12, "none": None,
+            [np.float64(0.1), np.float64(-2.5e-8), True, False, 3, -7, None, np.int64(-4),
+             np.bool_(True)],
+            {"x": np.float64(1 / 3), "flag": True, "count": 12, "none": None, "n": np.int64(8),
              "rows": [[0, 1.25, "text", None], [1, math.nan, "", False]]},
             np.arange(5.0) / 3.0,
             RNG.standard_normal((3, 4)) ** 5,
@@ -487,7 +531,7 @@ class TestEntryPoints:
         proc = subprocess.run(
             [sys.executable, "-m", "fockladder", "ground", "--n", "8",
              "--out", str(tmp_path / "g.csv")],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=subprocess_env(),
         )
         assert proc.returncode == 0
         assert (tmp_path / "g.csv").exists()

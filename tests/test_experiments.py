@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fockladder.experiments import (
+    ScanRecord,
     analytic_pair,
     band_panels,
     default_fluxes,
@@ -22,7 +23,7 @@ from fockladder.floquet import (
     solve_ground,
     spectrum,
 )
-from fockladder.meanfield import critical_flux
+from fockladder.meanfield import chiral_current_analytic, critical_flux, entropy_analytic
 from fockladder.observables import (
     chiral_current_normalized,
     entanglement_entropy_numeric,
@@ -68,6 +69,14 @@ class TestScanFlux:
         with pytest.raises(ValueError, match="outside"):
             scan_flux(8, mu=0.0, xi=XI, phi_grid=[0.5, 2.0])
 
+    def test_analytic_fields_within_the_flux_slack(self):
+        # A grid's last flux may round just above pi/2; the scan accepts it,
+        # and so do both closed forms.
+        phi = 1.5707963267949
+        record = scan_flux(8, 0.0, XI, phi_grid=[1.0, phi])[-1]
+        assert record.jc_analytic == chiral_current_analytic(phi, XI)
+        assert record.entropy_analytic == entropy_analytic(phi, XI)
+
     def test_nan_grid_rejected_before_any_solve(self, monkeypatch):
         # NaN passes the ascending check: every comparison with it is False.
         calls = []
@@ -90,6 +99,11 @@ class TestGroundRecord:
         assert analytic_pair(-0.4, XI) == (None, None)
         assert analytic_pair(2.5, XI) == (None, None)
 
+    def test_record_is_the_flux_scan_record(self):
+        params = SystemParams(n=20, mu=0.0, xi=XI, phi=0.4)
+        record = ScanRecord.from_state(params, solve_ground(params)[1])
+        assert record == scan_flux(20, 0.0, XI, phi_grid=[0.4])[0]
+
     def test_entropy_analytic_none_at_zero_flux(self):
         assert analytic_pair(0.0, XI) == (0.0, None)
 
@@ -105,6 +119,7 @@ class TestEntropyScan:
         records = scan_flux(8, 0.0, XI, phi_grid=[0.0, 0.5])
         assert records[0].entropy_analytic is None
         assert records[0].entropy_numeric == pytest.approx(0.0, abs=1e-10)
+        assert math.copysign(1.0, records[0].entropy_numeric) == 1.0
         assert records[1].entropy_analytic == analytic_pair(0.5, XI)[1]
 
     def test_entropy_grows_across_transition(self):

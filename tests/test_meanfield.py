@@ -197,6 +197,11 @@ class TestEntropyAnalytic:
         for phi in np.linspace(0.05, np.pi / 2, 40):
             assert 0.0 <= entropy_analytic(phi, XI) <= np.log(2.0) + 1e-15
 
+    def test_refuses_flux_outside_domain(self):
+        for phi in (2.5, -0.4):
+            with pytest.raises(ValueError, match=r"outside \[0, pi/2\]"):
+                entropy_analytic(phi, XI)
+
     def test_singular_at_zero_flux(self):
         with pytest.raises(ValueError, match="singular"):
             entropy_analytic(0.0, XI)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -131,7 +133,10 @@ class TestChiralCurrent:
 class TestEntanglementEntropy:
     def test_product_state_has_zero_entropy(self):
         state = basis_state(6, n=2, m=-1)
-        assert entanglement_entropy_numeric(state) == pytest.approx(0.0, abs=1e-14)
+        value = entanglement_entropy_numeric(state)
+        assert value == pytest.approx(0.0, abs=1e-14)
+        # The weights are exactly 0 and 1, and -(1 ln 1) alone is -0.0.
+        assert math.copysign(1.0, value) == 1.0
 
     def test_maximally_entangled_pair(self):
         n_bosons = 6
