@@ -33,6 +33,7 @@ from .floquet import (
     sector_ground,
     sector_spectra,
     solve_ground,
+    solve_grounds,
     spectrum,
 )
 from .meanfield import (

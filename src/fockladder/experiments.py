@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .floquet import BranchAmbiguityError, SystemParams, sector_ground, sector_spectra, solve_ground
+from .floquet import (BranchAmbiguityError, SystemParams, sector_ground, sector_spectra, solve_ground,
+                      solve_grounds)
 from .lattice import _check_boson_number, rung_values
 from .meanfield import (_FLUX_MAX, band_energy, chiral_current_analytic, critical_flux,
                         entropy_analytic, mu_critical)
@@ -53,7 +54,9 @@ DEFAULT_NS = (20, 40, 60, 80, 100)
 
 # Flux peaks: a guard of at most GUARD_POINTS grid fluxes, then a
 # bounded Brent search on the bracket of each guard local maximum and on
-# a warm bracket around the previous interaction's peak flux.  Rows are
+# a warm bracket around the previous interaction's peak flux.  The guard
+# is one stacked solve, and the searches advance in lockstep, one stacked
+# solve per step.  Rows are
 # located to PEAK_XATOL, in flux and, for mu_max, in mu.  Near mu_max
 # the flux peak is a jump where the parity sectors' lowest quasienergies
 # cross (j_c falls by ~0.13 within 1e-6 of flux), so the peak current is
@@ -186,15 +189,16 @@ _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 _SQRT_EPS = math.sqrt(2.2e-16)
 
 
-def _bounded_max(f, lo, hi, xatol):
+def _brent_max(lo, hi, xatol):
     # Brent's bounded minimizer FMIN (Brent 1973, ch. 5) on -f: golden
     # section plus trusted parabolic steps, the iterates of scipy's
     # minimize_scalar(method="bounded") without importing scipy.optimize
-    # (+16 MiB, +0.25 s per process).  Never evaluates the bounds.
-    # Returns (x, f(x)) of the best point.
+    # (+16 MiB, +0.25 s per process).  Never evaluates the bounds.  A
+    # generator: it yields each point to evaluate, takes f there by send()
+    # and returns (x, f(x)) of the best point; _lockstep drives it.
     a, b = lo, hi
     x = w = v = a + _GOLDEN * (b - a)
-    fx = fw = fv = -f(x)
+    fx = fw = fv = -(yield x)
     d = e = 0.0
     while True:
         m = 0.5 * (a + b)
@@ -219,7 +223,7 @@ def _bounded_max(f, lo, hi, xatol):
             e = a - x if x >= m else b - x
             d = _GOLDEN * e
         u = x + (max(abs(d), tol1) if d >= 0.0 else -max(abs(d), tol1))
-        fu = -f(u)
+        fu = -(yield u)
         if fu <= fx:
             a, b = (x, b) if u >= x else (a, x)
             v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
@@ -231,20 +235,54 @@ def _bounded_max(f, lo, hi, xatol):
                 v, fv = u, fu
 
 
+def _lockstep(searches, evaluate):
+    # Advance _brent_max searches together: each round hands every
+    # unfinished search's next point to one evaluate(points) call, which
+    # returns f at each.  Returns the searches' (x, f(x)) in order.
+    results = [None] * len(searches)
+    pending = [(i, next(search)) for i, search in enumerate(searches)]
+    while pending:
+        values = evaluate([x for _, x in pending])
+        live = []
+        for (i, _), value in zip(pending, values):
+            try:
+                live.append((i, searches[i].send(float(value))))
+            except StopIteration as done:
+                results[i] = done.value
+        pending = live
+    return results
+
+
+def _bounded_max(f, lo, hi, xatol):
+    # (x, f(x)) at the maximum of f on [lo, hi] located to xatol; one
+    # _brent_max search, evaluating f point by point.
+    return _lockstep([_brent_max(lo, hi, xatol)], lambda points: [f(x) for x in points])[0]
+
+
 def _flux_peak(n_bosons, mu, xi, tau, grid, warm=None, xatol=PEAK_XATOL):
     # (phi, jc) at the flux maximum of the current on [grid[0], grid[-1]].
     # Near mu_c the current has two bumps in flux; whether the guard
     # resolves both depends on how it lines up with them, and the warm
     # bracket (one guard step either side of `warm`) is the second
     # chance at a bump the guard merges.
-    def current(phi):
-        where = "interaction scan aborted at mu={mu}, phi={phi}"
-        params, (_, state) = _solve_at(solve_ground, where, n_bosons, mu, xi, tau, phi)
-        return chiral_current_normalized(state, params.phi)
+    params = SystemParams(n=n_bosons, mu=float(mu), xi=xi, phi=float(grid[0]), tau=tau)
+
+    def currents(phis):
+        # The currents at fluxes phis from one stacked solve.  A branch
+        # ambiguity names the first flux that fails when solved alone.
+        phis = np.asarray(phis, dtype=float)
+        try:
+            _, states = solve_grounds(params, phis)
+        except BranchAmbiguityError:
+            where = "interaction scan aborted at mu={mu}, phi={phi}"
+            for phi in phis:
+                _solve_at(solve_ground, where, n_bosons, mu, xi, tau, phi)
+            raise
+        return chiral_current_normalized(states, phis)
 
     stride = max(1, math.ceil((grid.size - 1) / (GUARD_POINTS - 1)))
     guard = np.append(grid[:-1:stride], grid[-1])
-    values = np.array([current(phi) for phi in guard])
+    values = currents(guard)
     padded = np.concatenate(([-np.inf], values, [-np.inf]))
     brackets = [
         (guard[max(k - 1, 0)], guard[min(k + 1, guard.size - 1)])
@@ -255,11 +293,10 @@ def _flux_peak(n_bosons, mu, xi, tau, grid, warm=None, xatol=PEAK_XATOL):
         brackets.append((max(warm - step, grid[0]), min(warm + step, grid[-1])))
     k = int(np.argmax(values))
     best_phi, best = float(guard[k]), float(values[k])
-    for lo, hi in brackets:
-        if lo < hi:
-            phi, jc = _bounded_max(current, float(lo), float(hi), xatol)
-            if jc > best:
-                best_phi, best = phi, float(jc)
+    searches = [_brent_max(float(lo), float(hi), xatol) for lo, hi in brackets if lo < hi]
+    for phi, jc in _lockstep(searches, currents):
+        if jc > best:
+            best_phi, best = phi, jc
     return best_phi, best
 
 
@@ -269,6 +306,9 @@ def interaction_scan(n_bosons, xi, tau=SystemParams.tau, mu_grid=None, phi_grid=
     Returns a list of (mu, peak_phi, peak_jc) triples, one per grid
     interaction, with the current maximized over flux for each (guard +
     warm bracket + bounded Brent, peak flux located to 1e-6); refused at xi = 0.
+    Each row's guard is one solve_grounds stack and its Brent searches
+    share one stack per step; rows run in order, since each row's warm
+    bracket is the previous row's peak flux.
     """
     if xi == 0.0:
         raise ValueError("no current maximum at xi = 0: the legs decouple and j_c vanishes identically")
@@ -302,12 +342,13 @@ def _refine_interaction_peak(rows, n_bosons, xi, tau, flux_grid):
     # Flux window for the polish evaluations: the peak flux
     # drifts slowly with mu, so a window around the coarse-grid peak
     # flux, wide enough to cover that drift across the bracket and any
-    # secondary bump beside it, is much cheaper than the full grid.
+    # secondary bump beside it, is much cheaper than the full grid.  It
+    # stays within the grid's ends, where the rows were searched.
     flux_step = float(np.median(np.diff(flux_grid)))
     local = peak_phis[k - 1:k + 2]
     halfwidth = float(local.max() - local.min()) + 2.0 * flux_step
-    window = np.linspace(max(peak_phis[k] - halfwidth, 0.0),
-                         min(peak_phis[k] + halfwidth, np.pi / 2.0), 25)
+    window = np.linspace(max(peak_phis[k] - halfwidth, flux_grid[0]),
+                         min(peak_phis[k] + halfwidth, flux_grid[-1]), 25)
 
     return _bounded_max(
         lambda mu: _flux_peak(n_bosons, mu, xi, tau, window, peak_phis[k], POLISH_XATOL)[1],
@@ -323,9 +364,10 @@ def find_mu_max(n_bosons, xi, tau=SystemParams.tau, mu_grid=None, phi_grid=None)
     bounded Brent search over mu, maximizing over flux at each step.
     Near mu_max the flux peak is a jump where the two parity sectors'
     lowest quasienergies cross, so those flux searches are located to
-    1e-9.  interaction_scan refuses xi = 0 before any solve.  Returns
-    (mu_max, max_jc, rows): the current in 2 J_C/(N J) units and the
-    interaction_scan rows the maximum was refined from.
+    1e-9, within the flux grid's own ends.  Every flux search solves in
+    stacks, as in interaction_scan, which refuses xi = 0 before any
+    solve.  Returns (mu_max, max_jc, rows): the current in 2 J_C/(N J)
+    units and the interaction_scan rows the maximum was refined from.
     """
     grid = _check_phi_grid(phi_grid, 2)  # its step sets the mu polish window
     rows = interaction_scan(n_bosons, xi, tau, mu_grid, grid)

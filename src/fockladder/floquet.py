@@ -36,19 +36,24 @@ pi - a share a sine and mix in eigh(Y); O^T X O is then not diagonal and
 W takes the Hermitian Cayley transform i (I - U)(I + U)^{-1}, the route of
 every non-symmetric unitary.
 
-solve_ground needs one eigenpair.  A Cholesky factorization of
-X - _COS_FLOOR I certifies every cos(eps tau) > _COS_FLOOR, so a sector's
-minimum -arcsin(lambda_Y)/tau is at its top eigenvalue of Y, and inverse
-iteration gives the winner's vector; where that fails (large mu N tau,
-e.g. N=100, mu=5) sector_spectra solves both sectors in full.  Either
-way sector_ground takes the lower minimum, the even sector on a tie
-within DEGENERACY_TOL (a vortex doublet).  build_floquet, the general
-branch of spectrum and ground_state are the full-space reference route.
+solve_grounds needs one eigenpair per flux.  A Cholesky factorization
+of X - _COS_FLOOR I certifies every cos(eps tau) > _COS_FLOOR, so a
+sector's minimum -arcsin(lambda_Y)/tau is at its top eigenvalue of Y,
+and inverse iteration gives the winner's vector; where that fails (large
+mu N tau, e.g. N=100, mu=5) sector_spectra solves both sectors in full.
+Either way sector_ground takes the lower minimum, the even sector on a
+tie within DEGENERACY_TOL (a vortex doublet).  The fluxes of one
+solve_grounds call share every other parameter and go through the
+factorizations as one stack, in chunks of about _STACK_BYTES per
+(k, 2, d, d) array; each point's numbers are bit for bit those of
+solving it alone, and solve_ground is the one-flux case.
+build_floquet, the general branch of spectrum and ground_state are the
+full-space reference route.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -76,6 +81,7 @@ __all__ = [
     "sector_spectra",
     "sector_ground",
     "solve_ground",
+    "solve_grounds",
 ]
 
 # Two quasienergies closer than this are treated as one degenerate doublet.
@@ -90,6 +96,11 @@ _MIXING_LIMIT = 1e-8
 _COS_FLOOR = 0.05
 # |Y v - lambda v| accepted from inverse iteration (reads <=2e-15 to N=200).
 _RESIDUAL_LIMIT = 1e-12
+# Bytes of one (k, 2, d, d) complex stack of sector operators: 18 fluxes at
+# N=20, one from N=64.  A solve holds several such arrays at once; stacks of
+# 16 and 31 cost the same per flux at N=20, and stacks of 3 at N=100 were no
+# faster than one flux but raised mu-scan's peak RSS by 4%.
+_STACK_BYTES = 1 << 18
 
 
 class BranchAmbiguityError(RuntimeError):
@@ -144,18 +155,20 @@ def _bec_kick(n_bosons, tau):
     return kick
 
 
-def _kick_factors(params):
+def _kick_factors(params, phi=None):
     # The pieces every product of the four kicks is made of: the
     # condensate kick exp(i tau S_x), the E1 phases of each leg (E3
-    # swaps them) and cos/sin of the E4 leg mixing.
+    # swaps them) and cos/sin of the E4 leg mixing.  phi, params.phi by
+    # default, may be a column (k, 1) of fluxes; the phases then are (k, d).
     p = params
+    phi = p.phi if phi is None else phi
     nvals = rung_values(p.n)
     kick = _bec_kick(p.n, p.tau)
 
     sz2 = (p.mu * p.tau / p.n) * nvals**2
     # E1 = exp(-i [sz2 + phi n sigma_z]); sigma_z = -1 on the left leg.
-    e1_left = np.exp(-1j * (sz2 - p.phi * nvals))
-    e1_right = np.exp(-1j * (sz2 + p.phi * nvals))
+    e1_left = np.exp(-1j * (sz2 - phi * nvals))
+    e1_right = np.exp(-1j * (sz2 + phi * nvals))
 
     half_kick = 0.5 * p.n * p.xi * p.tau
     return kick, e1_left, e1_right, np.cos(half_kick), np.sin(half_kick)
@@ -307,23 +320,26 @@ def _frame_phases(n_bosons, xi, tau):
     return table
 
 
-def _sector_operators(params):
+def _sector_operators(params, phis=None):
     # W_+- = E4^{1/2} U_+- E4^{-1/2} on the adapted basis, stacked (2, d, d)
-    # with row 0 even.  U_+- = M g_+-^2, M = D_L K D_R (E1 E2 E3 on the left-leg
-    # rows), so W_+- = G Q^dagger M Q G, symmetric as M^T = R M R.
-    kick, e1_left, e1_right, _, _ = _kick_factors(params)
-    folded = _fold(_fold(e1_left[:, None] * kick * e1_right).T).T
+    # with row 0 even, or (k, 2, d, d) with one pair per flux of phis.
+    # U_+- = M g_+-^2, M = D_L K D_R (E1 E2 E3 on the left-leg rows), so
+    # W_+- = G Q^dagger M Q G, symmetric as M^T = R M R.
+    phi = None if phis is None else np.asarray(phis)[:, None]
+    kick, e1_left, e1_right, _, _ = _kick_factors(params, phi)
+    folded = _transpose(_fold(_transpose(_fold(e1_left[..., :, None] * kick * e1_right[..., None, :]))))
     rows, cols = _frame_phases(params.n, params.xi, params.tau)
-    w = folded * rows[:, :, None] * cols[:, None, :]
+    w = folded[..., None, :, :] * rows[:, :, None] * cols[:, None, :]
     return 0.5 * (w + _transpose(w))
 
 
 def _to_fock(vectors, params):
     # Sector vectors x = E4^{-1/2} Q y = S^T (conj(rows) y) on the rung
-    # basis from adapted-basis columns y, stacked (2, d, k) like the spectra.
+    # basis from adapted-basis columns y, stacked (..., 2, d, k) like the spectra.
     z = np.conj(_frame_phases(params.n, params.xi, params.tau)[0])[:, :, None] * vectors
-    sym, anti = np.split(z[:, 1:], 2, axis=1)
-    return np.concatenate([(sym - anti)[:, ::-1], z[:, :1], sym + anti], axis=1)
+    half = z.shape[-2] // 2
+    sym, anti = z[..., 1:half + 1, :], z[..., half + 1:, :]
+    return np.concatenate([(sym - anti)[..., ::-1, :], z[..., :1, :], sym + anti], axis=-2)
 
 
 def sector_spectra(params):
@@ -336,9 +352,10 @@ def sector_spectra(params):
     return Spectrum(quasienergies=spec.quasienergies, states=_to_fock(spec.states, params))
 
 
-def _lower_sector(eps_even, eps_odd):
-    # The sector of the ground state: the lower minimum, even on a tie.
-    return 0 if eps_even <= eps_odd + DEGENERACY_TOL else 1
+def _lower_sector(minima):
+    # The sector of the ground state from the sector minima (..., 2): the
+    # lower minimum, even on a tie.
+    return np.where(minima[..., 0] <= minima[..., 1] + DEGENERACY_TOL, 0, 1)
 
 
 def sector_ground(spec):
@@ -347,43 +364,86 @@ def sector_ground(spec):
     The lower sector minimum wins, the even sector (0) on a tie within
     DEGENERACY_TOL; state = [x; +-x reversed] has unit norm to one ulp.
     """
-    eps_even, eps_odd = spec.quasienergies[:, 0]
-    sector = _lower_sector(eps_even, eps_odd)
-    x = spec.states[sector, :, 0]
-    state = np.concatenate([x, (1 - 2 * sector) * x[::-1]])
-    return min(eps_even, eps_odd), state / np.linalg.norm(state), sector
+    minima = spec.quasienergies[:, 0]
+    sector = int(_lower_sector(minima))
+    return minima.min(), _parity_states(spec.states[sector, :, 0], sector), sector
 
 
-def _certified_ground(params):
-    # Both sectors' lowest quasienergies and the winner's x (the other column
-    # zero) in sector_spectra's form, shaped (2, d, 1); None if uncertified.
-    w = _sector_operators(params)
-    eye = np.eye(w.shape[-1])
+def _unit_rows(rows):
+    # Each row along the last axis divided in place by its own
+    # np.linalg.norm: a stacked norm rounds differently.
+    for index in np.ndindex(rows.shape[:-1]):
+        rows[index] /= np.linalg.norm(rows[index])
+    return rows
+
+
+def _parity_states(x, sectors):
+    # The unit states [x; +-x reversed] of sector vectors x (..., d), + in the
+    # even sector.
+    return _unit_rows(np.concatenate([x, np.asarray(1 - 2 * sectors)[..., None] * x[..., ::-1]], axis=-1))
+
+
+def _certified_grounds(params, phis):
+    # (eps0s, states, certified) at the fluxes phis: sector_ground's
+    # quasienergy and state, and whether the certificate held; rows not
+    # certified hold no answer.  A stack whose factorizations fail anywhere
+    # is solved again one flux at a time, to find which fluxes fail.
+    w = _sector_operators(params, phis)
+    size = w.shape[-1]
+    eye = np.eye(size)
     try:
         np.linalg.cholesky(w.real - _COS_FLOOR * eye)
-        tops = np.linalg.eigvalsh(w.imag)[:, -1]
+        tops = np.linalg.eigvalsh(w.imag)[..., -1]
         eps = -np.arcsin(tops) / params.tau
-        sector = _lower_sector(*eps)
-        shifted = w.imag[sector] - tops[sector] * eye
+        sectors = _lower_sector(eps)
+        points = np.arange(sectors.size)
+        shifted = w.imag[points, sectors]
+        shifted -= tops[points, sectors][:, None, None] * eye
         # Two steps of inverse iteration from a start vector with no lattice
         # symmetry; an overflow fails the residual check below.
-        vector = np.linalg.solve(shifted, np.linalg.solve(shifted, np.cos(np.arange(eye.shape[0]))))
+        start = np.cos(np.arange(size))[None, :, None]
+        vectors = np.linalg.solve(shifted, np.linalg.solve(shifted, start))
     except np.linalg.LinAlgError:
-        return None
-    vector /= np.linalg.norm(vector)
-    if not np.abs(shifted @ vector).max() <= _RESIDUAL_LIMIT:
-        return None
-    states = np.zeros((2, eye.shape[0], 1))
-    states[sector, :, 0] = vector
-    return Spectrum(quasienergies=eps[:, None], states=_to_fock(states, params))
+        if len(phis) == 1:
+            return np.full(1, np.nan), np.zeros((1, 2 * size), dtype=complex), np.zeros(1, bool)
+        parts = [_certified_grounds(params, [phi]) for phi in phis]
+        return tuple(np.concatenate(part) for part in zip(*parts))
+    _unit_rows(vectors[..., 0])
+    certified = np.abs(shifted @ vectors).max(axis=(-2, -1)) <= _RESIDUAL_LIMIT
+    x = _to_fock(vectors[:, None], params)[points, sectors, :, 0]
+    return eps.min(axis=-1), _parity_states(x, sectors), certified
+
+
+def solve_grounds(params, phis):
+    """Ground quasienergies (k,) and states (k, 2(N+1)) of U_F at fluxes phis.
+
+    Every parameter but the flux comes from params (params.phi is not
+    used).  The fluxes are solved as stacks of at most _STACK_BYTES per
+    sector-operator array; each point is ground-only where the Cholesky
+    certificate holds, else from both full sector spectra (module
+    docstring), and each equals solve_ground at that flux bit for bit.
+    """
+    phis = np.asarray(phis, dtype=float).reshape(-1)
+    if not np.isfinite(phis).all():
+        raise ValueError(f"phi must be finite, got {phis}")
+    size = dim_bec(params.n)
+    chunk = max(1, _STACK_BYTES // (32 * size * size))
+    eps0s, states = np.empty(phis.size), np.empty((phis.size, 2 * size), dtype=complex)
+    for first in range(0, phis.size, chunk):
+        stack = slice(first, first + chunk)
+        eps0s[stack], states[stack], certified = _certified_grounds(params, phis[stack])
+        for i in first + np.flatnonzero(~certified):
+            eps0s[i], states[i], _ = sector_ground(sector_spectra(replace(params, phi=float(phis[i]))))
+    return eps0s, states
 
 
 def solve_ground(params):
     """Ground quasienergy and state of U_F, solved in its parity sectors.
 
-    Ground-only where the Cholesky certificate holds, else from both full
-    sector spectra (module docstring); either way every quasienergy of U_F
-    is clear of the zone edge, and the state is sector_ground's.
+    The one-flux case of solve_grounds: ground-only where the Cholesky
+    certificate holds, else from both full sector spectra (module
+    docstring); either way every quasienergy of U_F is clear of the zone
+    edge, and the state is sector_ground's.
     """
-    eps0, state, _ = sector_ground(_certified_ground(params) or sector_spectra(params))
-    return eps0, state
+    eps0s, states = solve_grounds(params, [params.phi])
+    return eps0s[0], states[0]

@@ -110,13 +110,16 @@ def fock_density_phase(state):
 
 
 def _ladder_correlator(state):
-    # t_m = sum_n <n+1|S_+|n> conj(psi_m(n+1)) psi_m(n) per leg;
-    # Re t gives <S_x>_m and Im t gives <S_y>_m.
-    left, right = _split_legs(state)
-    c = _splus_couplings(left.size - 1)
-    t_left = np.sum(c * np.conj(left[1:]) * left[:-1])
-    t_right = np.sum(c * np.conj(right[1:]) * right[:-1])
-    return t_left, t_right
+    # t_m = sum_n <n+1|S_+|n> conj(psi_m(n+1)) psi_m(n) per leg, of a state
+    # or of each state of a stack (k, 2(N+1)); Re t gives <S_x>_m and Im t
+    # gives <S_y>_m.  A row sum rounds as the sum of that row alone.
+    state = np.asarray(state)
+    if state.ndim not in (1, 2) or state.shape[-1] % 2 != 0:
+        raise ValueError(f"state must be a flat vector of even length or a stack of them, got {state.shape}")
+    legs = state.reshape(state.shape[:-1] + (2, -1))
+    c = _splus_couplings(legs.shape[-1] - 1)
+    t = np.sum(c * np.conj(legs[..., 1:]) * legs[..., :-1], axis=-1)
+    return t[..., 0], t[..., 1]
 
 
 def chiral_current_numeric(state, phi):
@@ -124,17 +127,20 @@ def chiral_current_numeric(state, phi):
 
     This is the flux derivative of the ground-state energy by the
     Hellmann-Feynman theorem.  See chiral_current_normalized for the
-    2 J_C/(N J) normalization used in scans.
+    2 J_C/(N J) normalization used in scans.  A stack of states (k, 2(N+1))
+    with k fluxes gives an array of k currents, each equal to its state's
+    own.
     """
     t_left, t_right = _ladder_correlator(state)
     sx_total = (t_left + t_right).real
     sy_sigma_z = (t_right - t_left).imag
-    return float(sx_total * np.sin(phi) - sy_sigma_z * np.cos(phi))
+    current = sx_total * np.sin(phi) - sy_sigma_z * np.cos(phi)
+    return current if np.ndim(current) else float(current)
 
 
 def chiral_current_normalized(state, phi):
-    """Chiral current in plot units 2 J_C / (N J)."""
-    n_bosons = np.asarray(state).size // 2 - 1
+    """Chiral current in plot units 2 J_C / (N J), of a state or a stack."""
+    n_bosons = np.shape(state)[-1] // 2 - 1
     return 2.0 * chiral_current_numeric(state, phi) / n_bosons
 
 

@@ -21,6 +21,7 @@ from fockladder.floquet import (
     SystemParams,
     build_floquet,
     solve_ground,
+    solve_grounds,
     spectrum,
 )
 from fockladder.meanfield import chiral_current_analytic, critical_flux, entropy_analytic
@@ -32,6 +33,16 @@ from fockladder.observables import (
 )
 
 XI = 0.5
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    # Every solve the scan layer asks for, one-flux or stacked: a list that
+    # must stay empty where a test expects a refusal before any solve.
+    calls = []
+    monkeypatch.setattr(experiments, "solve_ground", calls.append)
+    monkeypatch.setattr(experiments, "solve_grounds", lambda *args: calls.append(args))
+    return calls
 
 
 class TestScanFlux:
@@ -77,13 +88,11 @@ class TestScanFlux:
         assert record.jc_analytic == chiral_current_analytic(phi, XI)
         assert record.entropy_analytic == entropy_analytic(phi, XI)
 
-    def test_nan_grid_rejected_before_any_solve(self, monkeypatch):
+    def test_nan_grid_rejected_before_any_solve(self, solves):
         # NaN passes the ascending check: every comparison with it is False.
-        calls = []
-        monkeypatch.setattr(experiments, "solve_ground", calls.append)
         with pytest.raises(ValueError, match="flux grid must be finite"):
             scan_flux(8, mu=0.0, xi=XI, phi_grid=[0.1, 0.2, math.nan])
-        assert calls == []
+        assert solves == []
 
 
 class TestGroundRecord:
@@ -147,20 +156,16 @@ class TestInteractionScan:
          ([-0.2, 0.0, 0.1], [0.1, math.nan, 0.5], "flux grid must be finite")],
         ids=["mu", "phi"],
     )
-    def test_nan_grid_rejected_before_any_solve(self, monkeypatch, mu_grid, phi_grid, named):
-        calls = []
-        monkeypatch.setattr(experiments, "solve_ground", calls.append)
+    def test_nan_grid_rejected_before_any_solve(self, solves, mu_grid, phi_grid, named):
         with pytest.raises(ValueError, match=named):
             interaction_scan(8, XI, mu_grid=mu_grid, phi_grid=phi_grid)
-        assert calls == []
+        assert solves == []
 
-    def test_decoupled_legs_rejected_before_any_solve(self, monkeypatch):
+    def test_decoupled_legs_rejected_before_any_solve(self, solves):
         # At xi = 0 j_c vanishes identically: every row would be rounding noise.
-        calls = []
-        monkeypatch.setattr(experiments, "solve_ground", calls.append)
         with pytest.raises(ValueError, match="xi = 0"):
             interaction_scan(8, 0.0)
-        assert calls == []
+        assert solves == []
 
     def test_warm_bracket_keeps_the_higher_bump_at_n20(self):
         # Near mu_c the current has two bumps in flux; a 21-point guard
@@ -199,26 +204,22 @@ class TestFindMuMax:
                 phi_grid=np.linspace(0.0, 1.5, 9),
             )
 
-    def test_one_point_flux_grid_rejected_before_any_solve(self, monkeypatch):
+    def test_one_point_flux_grid_rejected_before_any_solve(self, solves):
         # Its step, which sets the polish window, is undefined.
-        calls = []
-        monkeypatch.setattr(experiments, "solve_ground", calls.append)
         mu_grid = np.linspace(-0.7, -0.2, 6)
         with pytest.raises(ValueError, match="flux grid needs at least 2 points"):
             find_mu_max(8, XI, mu_grid=mu_grid, phi_grid=[0.6])
         with pytest.raises(ValueError, match="flux grid needs at least 2 points"):
             finite_size_extrapolation(ns=(8, 10, 12), xi=XI, mu_grid=mu_grid, phi_grid=[0.6])
-        assert calls == []
+        assert solves == []
 
-    def test_decoupled_legs_rejected_before_any_solve(self, monkeypatch):
+    def test_decoupled_legs_rejected_before_any_solve(self, solves):
         # At xi = 0 j_c vanishes identically: a maximum would be rounding noise.
-        calls = []
-        monkeypatch.setattr(experiments, "solve_ground", calls.append)
         with pytest.raises(ValueError, match="xi = 0"):
             find_mu_max(8, 0.0)
         with pytest.raises(ValueError, match="xi = 0"):
             finite_size_extrapolation(ns=(8, 10, 12), xi=0.0)
-        assert calls == []
+        assert solves == []
 
     def test_coarse_and_fine_interaction_grids_agree(self):
         # The refined maximum must not depend on the starting grid
@@ -234,16 +235,38 @@ class TestFindMuMax:
 
     def test_solve_count_on_default_grids(self, monkeypatch):
         # 71 rows of guard + warm bracket + Brent, plus the mu polish:
-        # 5,690 solves (an exhaustive 121-point scan is 8,591 alone).
-        calls = []
+        # 5,898 points (an exhaustive 121-point scan is 8,591 alone) in
+        # 1,418 stacked calls, one per guard and one per lockstep Brent step.
+        stacks, points = [], []
 
-        def counted(params):
-            calls.append(params)
+        def counted(params, phis):
+            stacks.append(len(phis))
+            return solve_grounds(params, phis)
+
+        def one(params):
+            points.append(params)
             return solve_ground(params)
 
-        monkeypatch.setattr(experiments, "solve_ground", counted)
+        monkeypatch.setattr(experiments, "solve_grounds", counted)
+        monkeypatch.setattr(experiments, "solve_ground", one)
         find_mu_max(20, XI)
-        assert len(calls) <= 6500
+        assert sum(stacks) + len(points) <= 6500
+        assert len(stacks) + len(points) <= 1600
+
+    def test_polish_solves_only_inside_the_flux_grid(self, monkeypatch):
+        # The mu polish's flux window is clamped to the scan's own grid, not
+        # to [0, pi/2]: on [0.2, 0.6] it once solved fluxes up to 0.627.
+        fluxes = []
+
+        def recorded(params, phis):
+            fluxes.extend(phis)
+            return solve_grounds(params, phis)
+
+        monkeypatch.setattr(experiments, "solve_grounds", recorded)
+        phi_grid = np.linspace(0.2, 0.6, 31)
+        find_mu_max(20, XI, mu_grid=np.linspace(-0.6, 0.1, 15), phi_grid=phi_grid)
+        assert fluxes
+        assert phi_grid[0] <= min(fluxes) and max(fluxes) <= phi_grid[-1]
 
 
 def _sector_jump(x):
@@ -303,6 +326,42 @@ class TestBoundedMax:
         )
         assert abs(x - ref.x) <= 1e-12
         assert fx == -ref.fun
+
+    @pytest.mark.parametrize("xatol", [1e-6, 1e-9])
+    def test_lockstep_equals_each_search_alone(self, xatol):
+        # All five searches advance together, one evaluate call per round;
+        # each gets the points and the result it gets alone.
+        alone = {}
+        for name, (f, lo, hi) in self.CASES.items():
+            counted, calls = self.counted(f)
+            alone[name] = (experiments._bounded_max(counted, lo, hi, xatol), calls)
+
+        queue, points, rounds = [], {name: [] for name in self.CASES}, []
+
+        def named(name, search):
+            # Passes the search through, queueing its name for each point.
+            x = next(search)
+            while True:
+                queue.append(name)
+                try:
+                    x = search.send((yield x))
+                except StopIteration as done:
+                    return done.value
+
+        def evaluate(xs):
+            rounds.append(len(xs))
+            names = [queue.pop(0) for _ in xs]
+            for name, x in zip(names, xs):
+                points[name].append(x)
+            return [self.CASES[name][0](x) for name, x in zip(names, xs)]
+
+        searches = [named(name, experiments._brent_max(lo, hi, xatol))
+                    for name, (_, lo, hi) in self.CASES.items()]
+        results = experiments._lockstep(searches, evaluate)
+        for name, result in zip(self.CASES, results):
+            assert result == alone[name][0]
+            assert points[name] == alone[name][1]
+        assert len(rounds) == max(len(calls) for _, calls in alone.values())
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_evaluation_count_ceiling(self, name):
@@ -434,10 +493,11 @@ class TestBandPanels:
 class TestBranchAbortMessages:
     @pytest.fixture
     def ambiguous(self, monkeypatch):
-        def refuse(params):
+        def refuse(*args):
             raise BranchAmbiguityError("edge")
 
         monkeypatch.setattr(experiments, "solve_ground", refuse)
+        monkeypatch.setattr(experiments, "solve_grounds", refuse)
         monkeypatch.setattr(experiments, "sector_spectra", refuse)
 
     def test_flux_scan_names_the_flux(self, ambiguous):
@@ -449,6 +509,26 @@ class TestBranchAbortMessages:
             BranchAmbiguityError, match=r"^interaction scan aborted at mu=-0.1, phi=0.5: edge$"
         ):
             interaction_scan(8, XI, mu_grid=[-0.1, 0.0, 0.1], phi_grid=[0.5])
+
+    def test_stacked_failure_names_the_failing_flux(self, monkeypatch):
+        # The guard's stack fails as a whole; the message names the flux
+        # that fails when solved alone, not the stack's first.
+        def refuse_stacks_with(params, phis):
+            if 0.5 in list(phis):
+                raise BranchAmbiguityError("edge")
+            return solve_grounds(params, phis)
+
+        def refuse_at(params):
+            if params.phi == 0.5:
+                raise BranchAmbiguityError("edge")
+            return solve_ground(params)
+
+        monkeypatch.setattr(experiments, "solve_grounds", refuse_stacks_with)
+        monkeypatch.setattr(experiments, "solve_ground", refuse_at)
+        with pytest.raises(
+            BranchAmbiguityError, match=r"^interaction scan aborted at mu=-0.1, phi=0.5: edge$"
+        ):
+            interaction_scan(8, XI, mu_grid=[-0.1, 0.0, 0.1], phi_grid=[0.1, 0.3, 0.5, 0.7])
 
     def test_band_panel_names_the_flux(self, ambiguous):
         with pytest.raises(BranchAmbiguityError, match=r"^band panel aborted at phi=0.5: edge$"):

@@ -12,10 +12,10 @@ from fockladder.floquet import (
     sector_ground,
     sector_spectra,
     solve_ground,
+    solve_grounds,
     spectrum,
 )
 from fockladder import floquet
-from fockladder.floquet import _certified_ground
 from fockladder.lattice import (
     SIGMA_X,
     SIGMA_Z,
@@ -410,7 +410,7 @@ class TestSolveGround:
         # mu=5, N=100: the interaction pushes eigenphases past pi/2, X is not
         # positive definite, and the full sector spectra decide.
         params = SystemParams(n=100, mu=5.0, xi=0.5, phi=phi)
-        assert _certified_ground(params) is None
+        assert not _certified(params)
         eps, state = solve_ground(params)
         full_eps, full_state, _ = sector_ground(sector_spectra(params))
         assert eps == full_eps
@@ -420,9 +420,9 @@ class TestSolveGround:
         # A certified point whose inverse-iteration vector is refused takes
         # the full sector spectra too.
         params = SystemParams(n=20, mu=0.0, xi=0.5, phi=0.7)
-        assert _certified_ground(params) is not None
+        assert _certified(params)
         monkeypatch.setattr(floquet, "_RESIDUAL_LIMIT", -1.0)
-        assert _certified_ground(params) is None
+        assert not _certified(params)
         eps, state = solve_ground(params)
         full_eps, full_state, _ = sector_ground(sector_spectra(params))
         assert eps == full_eps
@@ -430,10 +430,108 @@ class TestSolveGround:
 
     @pytest.mark.parametrize("params", NEAR_DOUBLETS)
     def test_both_routes_pick_one_sector_at_near_doublets(self, params):
-        # The same sector and, up to sign, the same rung-basis vector x.
-        certified, full = _certified_ground(params), sector_spectra(params)
-        assert certified is not None
-        _, _, sector = sector_ground(certified)
-        assert sector == sector_ground(full)[2]
-        overlap = np.vdot(certified.states[sector, :, 0], full.states[sector, :, 0])
-        assert abs(abs(overlap) - 1.0) <= 1e-12
+        # The same sector and, up to sign, the same state: states of the two
+        # sectors are orthogonal.
+        _, states, certified = floquet._certified_grounds(params, [params.phi])
+        assert certified[0]
+        _, full_state, _ = sector_ground(sector_spectra(params))
+        assert abs(abs(np.vdot(states[0], full_state)) - 1.0) <= 1e-12
+
+
+def _certified(params):
+    # Whether the ground-only route certifies this point on its own.
+    return bool(floquet._certified_grounds(params, [params.phi])[2][0])
+
+
+class TestSolveGrounds:
+    # The stacked route: every point bit for bit its one-flux solve.
+    FLUXES = np.linspace(0.0, np.pi / 2.0, 35)
+
+    @pytest.mark.parametrize("n", [8, 20, 100])
+    @pytest.mark.parametrize("mu", [-0.45, 0.0, 1.0])
+    def test_stacks_equal_one_flux_solves(self, monkeypatch, n, mu):
+        # Stacks of 1, 3 and 31 fluxes, unsplit by the byte budget: 315
+        # points over the nine cases, the currents of the stack from one
+        # stacked call.
+        monkeypatch.setattr(floquet, "_STACK_BYTES", 1 << 30)
+        params = SystemParams(n=n, mu=mu, xi=0.5, phi=0.0)
+        for stack in (self.FLUXES[:1], self.FLUXES[1:4], self.FLUXES[4:]):
+            eps, states = solve_grounds(params, stack)
+            currents = chiral_current_normalized(states, stack)
+            assert eps.shape == stack.shape and states.shape == (stack.size, 2 * (n + 1))
+            for k, phi in enumerate(stack):
+                eps0, state = solve_ground(SystemParams(n=n, mu=mu, xi=0.5, phi=float(phi)))
+                assert eps[k] == eps0
+                assert (states[k] == state).all()
+                assert currents[k] == chiral_current_normalized(state, float(phi))
+
+    def test_uncertified_stack_equals_full_sector_route(self):
+        params = SystemParams(n=100, mu=5.0, xi=0.5, phi=0.0, tau=0.01)
+        fluxes = np.linspace(0.0, 1.5, 7)
+        eps, states = solve_grounds(params, fluxes)
+        for k, phi in enumerate(fluxes):
+            point = SystemParams(n=100, mu=5.0, xi=0.5, phi=float(phi), tau=0.01)
+            assert not _certified(point)
+            full_eps, full_state, _ = sector_ground(sector_spectra(point))
+            assert eps[k] == full_eps
+            assert (states[k] == full_state).all()
+
+    def test_only_the_point_failing_the_residual_gate_falls_back(self, monkeypatch):
+        fluxes = np.array([0.3, 0.7, 1.1])
+        params = SystemParams(n=20, mu=0.0, xi=0.5, phi=0.0)
+        expected = [solve_ground(SystemParams(n=20, mu=0.0, xi=0.5, phi=phi)) for phi in fluxes]
+        full = []
+
+        def recorded(point):
+            full.append(point.phi)
+            return sector_spectra(point)
+
+        monkeypatch.setattr(floquet, "sector_spectra", recorded)
+        # The gate compares each point's residual with its own limit.
+        monkeypatch.setattr(floquet, "_RESIDUAL_LIMIT", np.array([1e-12, -1.0, 1e-12]))
+        eps, states = solve_grounds(params, fluxes)
+        assert full == [0.7]
+        for k in (0, 2):
+            assert eps[k] == expected[k][0] and (states[k] == expected[k][1]).all()
+        full_eps, full_state, _ = sector_ground(sector_spectra(SystemParams(n=20, mu=0.0, xi=0.5, phi=0.7)))
+        assert eps[1] == full_eps and (states[1] == full_state).all()
+
+    def test_failed_factorization_refactors_one_flux_at_a_time(self, monkeypatch):
+        # One singular point must not send its certified neighbours to the
+        # full sector route.
+        fluxes = np.array([0.3, 0.7, 1.1])
+        params = SystemParams(n=20, mu=0.0, xi=0.5, phi=0.0)
+        expected = [solve_ground(SystemParams(n=20, mu=0.0, xi=0.5, phi=phi)) for phi in fluxes]
+        cholesky = np.linalg.cholesky
+
+        def refuse_the_stack(a):
+            if a.shape[0] > 1:
+                raise np.linalg.LinAlgError("stack")
+            return cholesky(a)
+
+        monkeypatch.setattr(floquet.np.linalg, "cholesky", refuse_the_stack)
+        monkeypatch.setattr(floquet, "sector_spectra", None)
+        eps, states = solve_grounds(params, fluxes)
+        for k in range(3):
+            assert eps[k] == expected[k][0] and (states[k] == expected[k][1]).all()
+
+    def test_stacks_are_split_by_the_byte_budget(self, monkeypatch):
+        # A budget of two N=20 sector-operator pairs: stacks of 2, 2 and 1.
+        sizes = []
+        certified = floquet._certified_grounds
+
+        def recorded(params, phis):
+            sizes.append(len(phis))
+            return certified(params, phis)
+
+        monkeypatch.setattr(floquet, "_certified_grounds", recorded)
+        monkeypatch.setattr(floquet, "_STACK_BYTES", 2 * 32 * 21 * 21)
+        fluxes = np.linspace(0.1, 1.5, 5)
+        eps, _ = solve_grounds(SystemParams(n=20, mu=0.0, xi=0.5, phi=0.0), fluxes)
+        assert sizes == [2, 2, 1]
+        assert list(eps) == [solve_ground(SystemParams(n=20, mu=0.0, xi=0.5, phi=phi))[0]
+                             for phi in fluxes]
+
+    def test_refuses_a_non_finite_flux(self):
+        with pytest.raises(ValueError, match="phi must be finite"):
+            solve_grounds(SystemParams(n=8, mu=0.0, xi=0.5, phi=0.0), [0.2, np.nan])

@@ -129,6 +129,26 @@ class TestChiralCurrent:
         value = chiral_current_normalized(ladder_ground(params), params.phi)
         assert value == pytest.approx(np.sin(params.phi), rel=0.05)
 
+    @pytest.mark.parametrize("n_bosons", [2, 20, 100])
+    def test_stack_equals_one_state_at_a_time(self, n_bosons):
+        # Row sums round as the sum of one state alone: equal, not close.
+        states = np.array([random_state(n_bosons, seed) for seed in range(40)])
+        fluxes = np.linspace(0.0, np.pi / 2.0, 40)
+        currents = chiral_current_normalized(states, fluxes)
+        assert currents.shape == (40,)
+        for state, phi, current in zip(states, fluxes, currents):
+            assert current == chiral_current_normalized(state, phi)
+
+    def test_one_state_gives_a_float(self):
+        state = random_state(8, 0)
+        assert type(chiral_current_normalized(state, 0.3)) is float
+        assert type(chiral_current_numeric(state, 0.3)) is float
+
+    def test_other_observables_refuse_a_stack(self):
+        states = np.array([random_state(8, seed) for seed in range(2)])
+        with pytest.raises(ValueError, match="flat vector of even length"):
+            entanglement_entropy_numeric(states)
+
 
 class TestEntanglementEntropy:
     def test_product_state_has_zero_entropy(self):
