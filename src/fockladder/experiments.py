@@ -15,12 +15,11 @@ byte-identical downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .floquet import (BranchAmbiguityError, SystemParams, sector_ground, sector_spectra, solve_ground,
-                      solve_grounds)
+from .floquet import SystemParams, sector_ground, sector_spectra, solve_grounds
 from .lattice import _check_boson_number, rung_values
 from .meanfield import (_FLUX_MAX, band_energy, chiral_current_analytic, critical_flux,
                         entropy_analytic, mu_critical)
@@ -122,17 +121,6 @@ class BandPanel:
     ground_phase: np.ma.MaskedArray
 
 
-def _solve_at(solver, where, n_bosons, mu, xi, tau, phi):
-    # (params, solver(params)) at one scan point, re-raising a branch ambiguity
-    # with the point's mu and phi filled into `where`; formatted only on
-    # failure, since scans call this tens of thousands of times.
-    params = SystemParams(n=n_bosons, mu=float(mu), xi=xi, phi=float(phi), tau=tau)
-    try:
-        return params, solver(params)
-    except BranchAmbiguityError as exc:
-        raise BranchAmbiguityError(f"{where.format(mu=mu, phi=phi)}: {exc}") from exc
-
-
 def analytic_pair(phi, xi):
     """Closed-form (jc, entropy) at one flux, None where a form does not apply.
 
@@ -172,17 +160,14 @@ def scan_flux(n_bosons, mu, xi, tau=SystemParams.tau, phi_grid=None):
     Returns one ScanRecord per grid flux, ascending, each holding both
     observable pairs of the same ground state.  The analytic entropy is
     singular at zero flux, so an entropy scan starts one grid step in
-    (phi_grid=DEFAULT_PHI_GRID[1:]).  A branch ambiguity anywhere
-    aborts the scan naming the offending flux.
+    (phi_grid=DEFAULT_PHI_GRID[1:]).  The grid is one solve_grounds
+    call, whose branch ambiguity names the offending mu and flux.
     """
     grid = _check_phi_grid(phi_grid)
-
-    def point(phi):
-        where = "flux scan aborted at phi={phi}"
-        params, (_, state) = _solve_at(solve_ground, where, n_bosons, mu, xi, tau, phi)
-        return ScanRecord.from_state(params, state)
-
-    return [point(phi) for phi in grid]
+    params = SystemParams(n=n_bosons, mu=float(mu), xi=xi, phi=float(grid[0]), tau=tau)
+    _, states = solve_grounds(params, grid)
+    return [ScanRecord.from_state(replace(params, phi=float(phi)), state)
+            for phi, state in zip(grid, states)]
 
 
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
@@ -268,17 +253,9 @@ def _flux_peak(n_bosons, mu, xi, tau, grid, warm=None, xatol=PEAK_XATOL):
     params = SystemParams(n=n_bosons, mu=float(mu), xi=xi, phi=float(grid[0]), tau=tau)
 
     def currents(phis):
-        # The currents at fluxes phis from one stacked solve.  A branch
-        # ambiguity names the first flux that fails when solved alone.
+        # The currents at fluxes phis from one stacked solve.
         phis = np.asarray(phis, dtype=float)
-        try:
-            _, states = solve_grounds(params, phis)
-        except BranchAmbiguityError:
-            where = "interaction scan aborted at mu={mu}, phi={phi}"
-            for phi in phis:
-                _solve_at(solve_ground, where, n_bosons, mu, xi, tau, phi)
-            raise
-        return chiral_current_normalized(states, phis)
+        return chiral_current_normalized(solve_grounds(params, phis)[1], phis)
 
     stride = max(1, math.ceil((grid.size - 1) / (GUARD_POINTS - 1)))
     guard = np.append(grid[:-1:stride], grid[-1])
@@ -428,7 +405,7 @@ def default_fluxes(xi):
 
 
 def band_panels(n_bosons, xi, mu=0.0, tau=SystemParams.tau, flux_list=None):
-    """Band curves, eigenstate phase densities and ground strips per flux."""
+    """Band curves, eigenstate phase densities and ground strips, one sector_spectra per flux."""
     fluxes = default_fluxes(xi) if flux_list is None else tuple(float(f) for f in flux_list)
     if not fluxes:
         raise ValueError("flux list is empty")
@@ -436,8 +413,7 @@ def band_panels(n_bosons, xi, mu=0.0, tau=SystemParams.tau, flux_list=None):
     fourier_t = np.exp(1j * np.multiply.outer(rung_values(n_bosons), thetas))
 
     def panel(flux):
-        where = "band panel aborted at phi={phi}"
-        _, spec = _solve_at(sector_spectra, where, n_bosons, mu, xi, tau, flux)
+        spec = sector_spectra(SystemParams(n=n_bosons, mu=float(mu), xi=xi, phi=flux, tau=tau))
         eps0, ground, sector = sector_ground(spec)
         # Eigenstate 0 is the ground state, also where rounding sorts the
         # other doublet member's quasienergy below it.

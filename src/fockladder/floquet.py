@@ -41,6 +41,7 @@ of X - _COS_FLOOR I certifies every cos(eps tau) > _COS_FLOOR, so a
 sector's minimum -arcsin(lambda_Y)/tau is at its top eigenvalue of Y,
 and inverse iteration gives the winner's vector; where that fails (large
 mu N tau, e.g. N=100, mu=5) sector_spectra solves both sectors in full.
+Only that route meets the zone edge; its BranchAmbiguityError names mu, phi.
 Either way sector_ground takes the lower minimum, the even sector on a
 tie within DEGENERACY_TOL (a vortex doublet).  The fluxes of one
 solve_grounds call share every other parameter and go through the
@@ -346,9 +347,13 @@ def sector_spectra(params):
     """Both parity sectors' spectra of U_F, stacked with row 0 even.
 
     Column j of states[s] is the rung-basis half x of the eigenstate
-    [x; +-x reversed]/sqrt(2), + in the even sector.
+    [x; +-x reversed]/sqrt(2), + in the even sector.  A branch ambiguity
+    names the point: "at mu=..., phi=...: " leads spectrum's message.
     """
-    spec = spectrum(_sector_operators(params), params.tau)
+    try:
+        spec = spectrum(_sector_operators(params), params.tau)
+    except BranchAmbiguityError as exc:
+        raise BranchAmbiguityError(f"at mu={params.mu}, phi={params.phi}: {exc}") from exc
     return Spectrum(quasienergies=spec.quasienergies, states=_to_fock(spec.states, params))
 
 
@@ -422,6 +427,7 @@ def solve_grounds(params, phis):
     sector-operator array; each point is ground-only where the Cholesky
     certificate holds, else from both full sector spectra (module
     docstring), and each equals solve_ground at that flux bit for bit.
+    A branch ambiguity names the failing flux (sector_spectra).
     """
     phis = np.asarray(phis, dtype=float).reshape(-1)
     if not np.isfinite(phis).all():

@@ -6,7 +6,8 @@ No module reads the process environment, so a run's configuration is
 exactly the RunConfig its sidecar records.  numpy is the one run-time
 dependency: no module imports scipy, and a CLI run loads none of it.
 Only floquet itself touches a private floquet name: the parity-sector
-route is public.
+route is public.  Only floquet constructs a BranchAmbiguityError, whose
+message sector_spectra prefixes with the failing point.
 """
 
 import ast
@@ -162,3 +163,48 @@ def test_private_floquet_guard_sees_imports_and_attributes(tmp_path):
     assert sorted(private_floquet_uses(source)) == [
         (1, "_to_fock"), (2, "_lower_sector"), (4, "_sector_operators"),
     ]
+
+
+def _names_branch_error(node):
+    return (isinstance(node, ast.Name) and node.id == "BranchAmbiguityError"
+            or isinstance(node, ast.Attribute) and node.attr == "BranchAmbiguityError")
+
+
+def branch_error_constructions(path):
+    # Lines that call BranchAmbiguityError, or raise the class itself; an
+    # except clause naming it constructs nothing.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _names_branch_error(node.func)
+        or isinstance(node, ast.Raise) and _names_branch_error(node.exc)
+    )
+
+
+def test_only_floquet_constructs_a_branch_ambiguity():
+    # floquet.sector_spectra names the failing point, so no other module
+    # builds the error or its message.
+    package_dir = pathlib.Path(fockladder.__file__).parent
+    sources = [path for path in sorted(package_dir.glob("*.py")) if path.name != "floquet.py"]
+    assert sources, f"no modules found in {package_dir}"
+    constructions = [
+        f"{path.name}:{line}" for path in sources for line in branch_error_constructions(path)
+    ]
+    assert constructions == []
+
+
+def test_branch_error_guard_sees_constructions(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "from .floquet import BranchAmbiguityError\n"
+        "from . import floquet\n"
+        "try:\n"
+        "    raise BranchAmbiguityError(f'at {1}')\n"
+        "except (ValueError, BranchAmbiguityError) as exc:\n"
+        "    error = floquet.BranchAmbiguityError(str(exc))\n"
+        "if isinstance(error, BranchAmbiguityError):\n"
+        "    raise BranchAmbiguityError\n",
+        encoding="utf-8",
+    )
+    assert branch_error_constructions(source) == [4, 6, 8]

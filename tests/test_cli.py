@@ -30,7 +30,8 @@ from fockladder.experiments import (
     interaction_scan,
     scan_flux,
 )
-from fockladder.floquet import SystemParams
+from fockladder import floquet
+from fockladder.floquet import BranchAmbiguityError, SystemParams
 from fockladder.meanfield import mu_critical
 
 
@@ -507,6 +508,20 @@ class TestRunErrors:
         )
         assert run(config) == 1
         assert "widen the mu bracket" in capsys.readouterr().err
+
+    def test_branch_ambiguity_names_the_point(self, tmp_path, capsys, monkeypatch):
+        # Under a certificate floor above 1 the point takes the full sector
+        # spectra, which here meet the zone edge.
+        def refuse(u, tau):
+            raise BranchAmbiguityError("edge")
+
+        monkeypatch.setattr(floquet, "_COS_FLOOR", 2.0)
+        monkeypatch.setattr(floquet, "spectrum", refuse)
+        out = tmp_path / "g.csv"
+        config = parse_args(["ground", "--n", "8", "--mu", "-0.1", "--phi", "1.3", "--out", str(out)])
+        assert run(config) == 1
+        assert capsys.readouterr().err == "fockladder: error: at mu=-0.1, phi=1.3: edge\n"
+        assert not out.exists()
 
 
 class TestValidateCommand:

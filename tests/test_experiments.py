@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from fockladder.experiments import (
+    DEFAULT_PHI_GRID,
     ScanRecord,
     analytic_pair,
     band_panels,
@@ -14,12 +16,13 @@ from fockladder.experiments import (
     interaction_scan,
     scan_flux,
 )
-from fockladder import experiments
+from fockladder import experiments, floquet
 from fockladder.floquet import (
     DEGENERACY_TOL,
     BranchAmbiguityError,
     SystemParams,
     build_floquet,
+    sector_spectra,
     solve_ground,
     solve_grounds,
     spectrum,
@@ -37,11 +40,12 @@ XI = 0.5
 
 @pytest.fixture
 def solves(monkeypatch):
-    # Every solve the scan layer asks for, one-flux or stacked: a list that
-    # must stay empty where a test expects a refusal before any solve.
+    # Every solve the scan layer asks for, stacked ground states or full
+    # sector spectra: a list that must stay empty where a test expects a
+    # refusal before any solve.
     calls = []
-    monkeypatch.setattr(experiments, "solve_ground", calls.append)
     monkeypatch.setattr(experiments, "solve_grounds", lambda *args: calls.append(args))
+    monkeypatch.setattr(experiments, "sector_spectra", calls.append)
     return calls
 
 
@@ -67,6 +71,17 @@ class TestScanFlux:
         assert record.jc_numeric == chiral_current_normalized(state, 0.4)
         assert record.entropy_numeric == entanglement_entropy_numeric(state)
         assert (record.jc_analytic, record.entropy_analytic) == analytic_pair(0.4, XI)
+
+    @pytest.mark.parametrize("mu", [0.0, -0.45])
+    def test_stacked_records_equal_one_flux_records(self, mu):
+        # At N=20 the default grid is solved in stacks of 18 fluxes; every
+        # field of every record is that of the record built from
+        # solve_ground at its flux.
+        records = scan_flux(20, mu, XI)
+        assert len(records) == DEFAULT_PHI_GRID.size
+        for phi, record in zip(DEFAULT_PHI_GRID, records):
+            params = SystemParams(n=20, mu=mu, xi=XI, phi=float(phi))
+            assert record == ScanRecord.from_state(params, solve_ground(params)[1])
 
     def test_rejects_descending_grid(self):
         with pytest.raises(ValueError, match="ascending"):
@@ -237,21 +252,21 @@ class TestFindMuMax:
         # 71 rows of guard + warm bracket + Brent, plus the mu polish:
         # 5,898 points (an exhaustive 121-point scan is 8,591 alone) in
         # 1,418 stacked calls, one per guard and one per lockstep Brent step.
-        stacks, points = [], []
+        stacks, spectra = [], []
 
         def counted(params, phis):
             stacks.append(len(phis))
             return solve_grounds(params, phis)
 
-        def one(params):
-            points.append(params)
-            return solve_ground(params)
+        def full(params):
+            spectra.append(params)
+            return sector_spectra(params)
 
         monkeypatch.setattr(experiments, "solve_grounds", counted)
-        monkeypatch.setattr(experiments, "solve_ground", one)
+        monkeypatch.setattr(experiments, "sector_spectra", full)
         find_mu_max(20, XI)
-        assert sum(stacks) + len(points) <= 6500
-        assert len(stacks) + len(points) <= 1600
+        assert sum(stacks) + len(spectra) <= 6500
+        assert len(stacks) + len(spectra) <= 1600
 
     def test_polish_solves_only_inside_the_flux_grid(self, monkeypatch):
         # The mu polish's flux window is clamped to the scan's own grid, not
@@ -491,45 +506,61 @@ class TestBandPanels:
 
 
 class TestBranchAbortMessages:
+    # Only floquet.sector_spectra meets the zone edge, and its message names
+    # the point; the scans pass it on as it is.  With the certificate floor
+    # above 1 no point is certified, so every flux takes the full sector
+    # spectra, and the third spectrum call fails.
     @pytest.fixture
-    def ambiguous(self, monkeypatch):
-        def refuse(*args):
+    def edge_on_third_spectrum(self, monkeypatch):
+        calls = []
+
+        def refuse_third(u, tau):
+            calls.append(tau)
+            if len(calls) == 3:
+                raise BranchAmbiguityError("edge")
+            return spectrum(u, tau)
+
+        monkeypatch.setattr(floquet, "_COS_FLOOR", 2.0)
+        monkeypatch.setattr(floquet, "spectrum", refuse_third)
+        return calls
+
+    def test_flux_scan_names_the_flux(self, edge_on_third_spectrum):
+        with pytest.raises(BranchAmbiguityError, match=r"^at mu=0.0, phi=0.5: edge$"):
+            scan_flux(8, 0.0, XI, phi_grid=[0.1, 0.3, 0.5, 0.7])
+        assert len(edge_on_third_spectrum) == 3
+
+    def test_interaction_scan_names_the_point(self, edge_on_third_spectrum):
+        with pytest.raises(BranchAmbiguityError, match=r"^at mu=-0.1, phi=0.5: edge$"):
+            interaction_scan(8, XI, mu_grid=[-0.1, 0.0, 0.1], phi_grid=[0.1, 0.3, 0.5, 0.7])
+        assert len(edge_on_third_spectrum) == 3
+
+    def test_stacked_failure_names_the_failing_flux(self, edge_on_third_spectrum):
+        # At N=20 the default grid goes in stacks of 18 fluxes; the message
+        # names the third flux, not its stack's first, and no flux takes its
+        # sector spectra twice.
+        expected = f"at mu=-0.45, phi={DEFAULT_PHI_GRID[2]}: edge"
+        with pytest.raises(BranchAmbiguityError, match=f"^{re.escape(expected)}$"):
+            scan_flux(20, -0.45, XI)
+        assert len(edge_on_third_spectrum) == 3
+
+    def test_band_panel_names_the_flux(self, edge_on_third_spectrum):
+        with pytest.raises(BranchAmbiguityError, match=r"^at mu=0.0, phi=0.5: edge$"):
+            band_panels(8, XI, flux_list=[0.1, 0.3, 0.5, 0.7])
+        assert len(edge_on_third_spectrum) == 3
+
+    def test_solve_ground_names_the_point(self, edge_on_third_spectrum):
+        for phi in (0.1, 0.3):
+            solve_ground(SystemParams(n=8, mu=-0.1, xi=XI, phi=phi))
+        with pytest.raises(BranchAmbiguityError, match=r"^at mu=-0.1, phi=0.5: edge$"):
+            solve_ground(SystemParams(n=8, mu=-0.1, xi=XI, phi=0.5))
+        assert len(edge_on_third_spectrum) == 3
+
+    def test_uncertified_point_names_itself(self, monkeypatch):
+        # N=100, mu=5 is certified at no default-grid flux, so it takes the
+        # full sector spectra with the floor as it is.
+        def refuse(u, tau):
             raise BranchAmbiguityError("edge")
 
-        monkeypatch.setattr(experiments, "solve_ground", refuse)
-        monkeypatch.setattr(experiments, "solve_grounds", refuse)
-        monkeypatch.setattr(experiments, "sector_spectra", refuse)
-
-    def test_flux_scan_names_the_flux(self, ambiguous):
-        with pytest.raises(BranchAmbiguityError, match=r"^flux scan aborted at phi=0.5: edge$"):
-            scan_flux(8, 0.0, XI, phi_grid=[0.5])
-
-    def test_interaction_scan_names_the_point(self, ambiguous):
-        with pytest.raises(
-            BranchAmbiguityError, match=r"^interaction scan aborted at mu=-0.1, phi=0.5: edge$"
-        ):
-            interaction_scan(8, XI, mu_grid=[-0.1, 0.0, 0.1], phi_grid=[0.5])
-
-    def test_stacked_failure_names_the_failing_flux(self, monkeypatch):
-        # The guard's stack fails as a whole; the message names the flux
-        # that fails when solved alone, not the stack's first.
-        def refuse_stacks_with(params, phis):
-            if 0.5 in list(phis):
-                raise BranchAmbiguityError("edge")
-            return solve_grounds(params, phis)
-
-        def refuse_at(params):
-            if params.phi == 0.5:
-                raise BranchAmbiguityError("edge")
-            return solve_ground(params)
-
-        monkeypatch.setattr(experiments, "solve_grounds", refuse_stacks_with)
-        monkeypatch.setattr(experiments, "solve_ground", refuse_at)
-        with pytest.raises(
-            BranchAmbiguityError, match=r"^interaction scan aborted at mu=-0.1, phi=0.5: edge$"
-        ):
-            interaction_scan(8, XI, mu_grid=[-0.1, 0.0, 0.1], phi_grid=[0.1, 0.3, 0.5, 0.7])
-
-    def test_band_panel_names_the_flux(self, ambiguous):
-        with pytest.raises(BranchAmbiguityError, match=r"^band panel aborted at phi=0.5: edge$"):
-            band_panels(8, XI, flux_list=[0.5])
+        monkeypatch.setattr(floquet, "spectrum", refuse)
+        with pytest.raises(BranchAmbiguityError, match=r"^at mu=5.0, phi=0.5: edge$"):
+            scan_flux(100, 5.0, XI, phi_grid=[0.5])
