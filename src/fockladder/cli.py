@@ -150,10 +150,7 @@ class RunConfig:
             raise ValueError("--mu-min must be smaller than --mu-max")
 
     def to_dict(self):
-        data = dataclasses.asdict(self)
-        data["ns"] = list(self.ns)
-        data["fluxes"] = None if self.fluxes is None else list(self.fluxes)
-        return data
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data):
@@ -331,14 +328,6 @@ def _json_row(row, inner, pad):
     return "[" + inner + separator.join(map(_json_scalar, row)) + pad + "]"
 
 
-def _unmask(value):
-    return None if np.ma.is_masked(value) else float(value)
-
-
-def _phase_rows(phase):
-    return [[_unmask(value) for value in row] for row in np.ma.asarray(phase)]
-
-
 # ---------------------------------------------------------------- commands
 
 def _cmd_bands(config):
@@ -351,7 +340,7 @@ def _cmd_bands(config):
         "ground_phase_left [rad]", "ground_phase_right [rad]",
     ]
     rows = []
-    phases = [_phase_rows(panel.ground_phase) for panel in panels]
+    phases = [panel.ground_phase.tolist() for panel in panels]
     for panel, phase in zip(panels, phases):
         for k in range(config.n + 1):
             rows.append([
@@ -380,7 +369,7 @@ def _cmd_ground(config):
     record = ScanRecord.from_state(params, state)
     header = ["leg [m]", "rung [n]", "density [prob]", "phase [rad]"]
     rungs = rung_values(config.n)
-    phase = _phase_rows(fock.phase)
+    phase = fock.phase.tolist()
     rows = []
     for m_index, m in enumerate((-1, 1)):
         for k in range(config.n + 1):

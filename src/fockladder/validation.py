@@ -4,12 +4,13 @@ Every check here re-derives a property one layer promises to another:
 operator algebra on the lattice, unitarity and symmetry of the engine,
 identities between the numeric observables and the closed forms.  The
 suite is the backing of the `validate` subcommand and is intentionally
-cheap (a few seconds) so it can run routinely.
+cheap (a few seconds) so it can run routinely.  Each flux list is solved
+by one floquet.solve_grounds call, the stacked route the scans use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -139,7 +140,7 @@ def _check_route_fidelity():
     base = floquet.SystemParams(n=20, mu=0.5, xi=0.5, phi=0.5, tau=0.01)
     infidelities = []
     for tau in (base.tau, base.tau / 2.0):
-        params = floquet.SystemParams(n=base.n, mu=base.mu, xi=base.xi, phi=base.phi, tau=tau)
+        params = replace(base, tau=tau)
         _, numeric = floquet.solve_ground(params)
         _, exact = np.linalg.eigh(floquet.build_heff(params))
         infidelities.append(1.0 - np.abs(np.vdot(numeric, exact[:, 0])) ** 2)
@@ -206,13 +207,10 @@ def _check_parseval():
 
 
 def _check_entropy_bounds():
-    worst_low, worst_high = 0.0, 0.0
-    for phi in np.linspace(0.05, np.pi / 2.0, 12):
-        params = floquet.SystemParams(n=60, mu=0.0, xi=0.5, phi=float(phi))
-        _, state = floquet.solve_ground(params)
-        s = observables.entanglement_entropy_numeric(state)
-        worst_low = min(worst_low, s)
-        worst_high = max(worst_high, s)
+    params = floquet.SystemParams(n=60, mu=0.0, xi=0.5, phi=0.0)
+    _, states = floquet.solve_grounds(params, np.linspace(0.05, np.pi / 2.0, 12))
+    entropies = [observables.entanglement_entropy_numeric(state) for state in states]
+    worst_low, worst_high = min(0.0, *entropies), max(0.0, *entropies)
     rng = np.random.default_rng(7)
     analytic = [
         meanfield.entropy_analytic(phi, xi)
@@ -233,16 +231,11 @@ def _check_entropy_bounds():
 
 
 def _check_current_antisymmetry():
-    worst = 0.0
-    for phi in (0.3, 0.55):
-        plus = floquet.SystemParams(n=50, mu=0.0, xi=0.5, phi=phi)
-        minus = floquet.SystemParams(n=50, mu=0.0, xi=0.5, phi=-phi)
-        _, state_plus = floquet.solve_ground(plus)
-        _, state_minus = floquet.solve_ground(minus)
-        total = observables.chiral_current_numeric(
-            state_plus, phi
-        ) + observables.chiral_current_numeric(state_minus, -phi)
-        worst = max(worst, abs(total))
+    phis = np.array([0.3, -0.3, 0.55, -0.55])
+    params = floquet.SystemParams(n=50, mu=0.0, xi=0.5, phi=0.0)
+    _, states = floquet.solve_grounds(params, phis)
+    currents = observables.chiral_current_numeric(states, phis)
+    worst = np.abs(currents[0::2] + currents[1::2]).max()
     return _result(
         "current-antisymmetry",
         worst <= 1e-8,
@@ -253,13 +246,10 @@ def _check_current_antisymmetry():
 def _check_hellmann_feynman():
     params = floquet.SystemParams(n=50, mu=0.0, xi=0.5, phi=0.3)
     step = 1e-4
-    eps = {}
-    for phi in (params.phi - step, params.phi, params.phi + step):
-        shifted = floquet.SystemParams(n=params.n, mu=params.mu, xi=params.xi, phi=phi)
-        eps[phi], state = floquet.solve_ground(shifted)
-        if phi == params.phi:
-            current = observables.chiral_current_numeric(state, phi)
-    derivative = (eps[params.phi + step] - eps[params.phi - step]) / (2.0 * step)
+    phis = np.array([params.phi - step, params.phi, params.phi + step])
+    eps, states = floquet.solve_grounds(params, phis)
+    current = observables.chiral_current_numeric(states, phis)[1]
+    derivative = (eps[2] - eps[0]) / (2.0 * step)
     rel = abs(derivative - current) / abs(current)
     return _result(
         "hellmann-feynman",

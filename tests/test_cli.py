@@ -33,6 +33,7 @@ from fockladder.experiments import (
 from fockladder import floquet
 from fockladder.floquet import BranchAmbiguityError, SystemParams
 from fockladder.meanfield import mu_critical
+from fockladder.observables import PHASE_MASK_THRESHOLD
 
 
 def subprocess_env(**variables):
@@ -412,6 +413,34 @@ class TestRunScans:
         assert [float(r[3]) for r in rows[1:]] == [abs(m - target) for m in mu_maxes]
         assert meta["result"]["intercept"] == fit.intercept
         assert meta["result"]["slope"] == fit.slope
+
+
+class TestMaskedPhaseCells:
+    # A phase at a site whose density is below PHASE_MASK_THRESHOLD is
+    # written as an empty CSV cell or a JSON null, never as a number.
+    def test_ground_csv_and_json(self, tmp_path):
+        argv = ["ground", "--n", "100", "--phi", "1.2"]
+        assert run(parse_args(argv + ["--out", str(tmp_path / "g.csv")])) == 0
+        assert run(parse_args(argv + ["--format", "json", "--out", str(tmp_path / "g.json")])) == 0
+        csv_rows = list(csv.reader((tmp_path / "g.csv").read_text().splitlines()))[1:]
+        json_rows = json.loads((tmp_path / "g.json").read_text())["rows"]
+        for rows, empty in ((csv_rows, ""), (json_rows, None)):
+            below = [float(row[2]) < PHASE_MASK_THRESHOLD for row in rows]
+            assert [row[3] == empty for row in rows] == below
+            assert sum(below) == 56
+        assert [float(row[3]) for row in csv_rows if row[3]] == [
+            row[3] for row in json_rows if row[3] is not None
+        ]
+
+    def test_bands_json_nulls_follow_the_mask(self, tmp_path):
+        out = tmp_path / "bands.json"
+        assert run(parse_args(["bands", "--n", "60", "--format", "json", "--out", str(out)])) == 0
+        written = [panel["ground_phase"] for panel in json.loads(out.read_text())["panels"]]
+        panels = band_panels(60, 0.5)
+        for phase, panel in zip(written, panels):
+            assert [[v is None for v in row] for row in phase] == panel.ground_phase.mask.tolist()
+            assert [v for row in phase for v in row if v is not None] == panel.ground_phase.compressed().tolist()
+        assert [int(panel.ground_phase.mask.sum()) for panel in panels] == [18, 32, 16]
 
 
 def _stdlib_json(value):

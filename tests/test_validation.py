@@ -1,3 +1,4 @@
+from fockladder import floquet
 from fockladder.validation import CheckResult, run_invariant_suite
 
 
@@ -29,3 +30,18 @@ class TestInvariantSuite:
             "parity-sector-route",
         ):
             assert expected in names
+
+    def test_flux_lists_run_the_stacked_route(self, monkeypatch):
+        # solve_ground reaches floquet.solve_grounds too, as a list of one flux.
+        lists = []
+        solve_grounds = floquet.solve_grounds
+
+        def recorder(params, phis):
+            lists.append((params.n, len(phis)))
+            return solve_grounds(params, phis)
+
+        monkeypatch.setattr(floquet, "solve_grounds", recorder)
+        results = run_invariant_suite()
+        assert [r.name for r in results if not r.passed] == []
+        for n in (50, 60):
+            assert any(size >= 2 for m, size in lists if m == n), lists
