@@ -11,68 +11,16 @@ The package has four layers plus plumbing:
 - observables: numeric densities, currents, entropies of eigenstates.
 - experiments: grid scans pairing numerics with the closed forms.
 - validation, cli: the invariant suite and the command-line front end.
+
+The package exports exactly the names in each layer module's __all__,
+from lattice through validation; the front end is fockladder.cli.
 """
 
-from .lattice import (
-    SIGMA_X,
-    SIGMA_Z,
-    build_sx,
-    build_sy,
-    build_sz,
-    dim_bec,
-    parity_operator,
-    rung_values,
-)
-from .floquet import (
-    BranchAmbiguityError,
-    Spectrum,
-    SystemParams,
-    build_floquet,
-    build_heff,
-    ground_state,
-    sector_ground,
-    sector_spectra,
-    solve_ground,
-    solve_grounds,
-    spectrum,
-)
-from .meanfield import (
-    band_energy,
-    bloch_block,
-    chiral_current_analytic,
-    critical_flux,
-    entropy_analytic,
-    meanfield_state,
-    mixing_angle,
-    mu_critical,
-    theta0,
-)
-from .observables import (
-    FockMap,
-    chiral_current_normalized,
-    chiral_current_numeric,
-    entanglement_entropy_numeric,
-    fock_density_phase,
-    phase_energy_density,
-    phase_grid,
-    rung_second_moment,
-)
-from .experiments import (
-    DEFAULT_MU_GRID,
-    DEFAULT_NS,
-    DEFAULT_PHI_GRID,
-    BandPanel,
-    FitResult,
-    ScanRecord,
-    analytic_pair,
-    band_panels,
-    default_fluxes,
-    find_mu_max,
-    finite_size_extrapolation,
-    fit_inverse_size,
-    interaction_scan,
-    scan_flux,
-)
-from .validation import CheckResult, run_invariant_suite
+from .lattice import *
+from .floquet import *
+from .meanfield import *
+from .observables import *
+from .experiments import *
+from .validation import *
 
 __version__ = "0.1.0"

@@ -135,9 +135,11 @@ def analytic_pair(phi, xi):
 
 
 def _check_grid(values, name, min_points=1):
-    # At least min_points finite, strictly ascending floats; finiteness is
-    # checked first because NaN passes the ascending test.
+    # At least min_points finite, strictly ascending floats in one dimension;
+    # finiteness is checked first because NaN passes the ascending test.
     grid = np.asarray(values, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError(f"{name} grid must be one-dimensional")
     if grid.size < min_points:
         raise ValueError(f"{name} grid needs at least {min_points} point" + "s" * (min_points > 1))
     if not np.all(np.isfinite(grid)):

@@ -156,13 +156,12 @@ def _bec_kick(n_bosons, tau):
     return kick
 
 
-def _kick_factors(params, phi=None):
+def _kick_factors(params, phi):
     # The pieces every product of the four kicks is made of: the
     # condensate kick exp(i tau S_x), the E1 phases of each leg (E3
-    # swaps them) and cos/sin of the E4 leg mixing.  phi, params.phi by
-    # default, may be a column (k, 1) of fluxes; the phases then are (k, d).
+    # swaps them) and cos/sin of the E4 leg mixing.  phi may be a column
+    # (k, 1) of fluxes; the phases then are (k, d).
     p = params
-    phi = p.phi if phi is None else phi
     nvals = rung_values(p.n)
     kick = _bec_kick(p.n, p.tau)
 
@@ -183,7 +182,7 @@ def build_floquet(params):
     exp(i tau S_x) in each leg block; no matrix multiplication needed.
     """
     size = dim_bec(params.n)
-    kick, e1_left, e1_right, c, s = _kick_factors(params)
+    kick, e1_left, e1_right, c, s = _kick_factors(params, params.phi)
     # E3 flips the sign of the flux term.
     e3_left = e1_right
     e3_right = e1_left
@@ -321,13 +320,12 @@ def _frame_phases(n_bosons, xi, tau):
     return table
 
 
-def _sector_operators(params, phis=None):
-    # W_+- = E4^{1/2} U_+- E4^{-1/2} on the adapted basis, stacked (2, d, d)
-    # with row 0 even, or (k, 2, d, d) with one pair per flux of phis.
+def _sector_operators(params, phis):
+    # W_+- = E4^{1/2} U_+- E4^{-1/2} on the adapted basis, stacked
+    # (k, 2, d, d) with one pair per flux of phis, row 0 even.
     # U_+- = M g_+-^2, M = D_L K D_R (E1 E2 E3 on the left-leg rows), so
     # W_+- = G Q^dagger M Q G, symmetric as M^T = R M R.
-    phi = None if phis is None else np.asarray(phis)[:, None]
-    kick, e1_left, e1_right, _, _ = _kick_factors(params, phi)
+    kick, e1_left, e1_right, _, _ = _kick_factors(params, np.asarray(phis)[:, None])
     folded = _transpose(_fold(_transpose(_fold(e1_left[..., :, None] * kick * e1_right[..., None, :]))))
     rows, cols = _frame_phases(params.n, params.xi, params.tau)
     w = folded[..., None, :, :] * rows[:, :, None] * cols[:, None, :]
@@ -351,7 +349,7 @@ def sector_spectra(params):
     names the point: "at mu=..., phi=...: " leads spectrum's message.
     """
     try:
-        spec = spectrum(_sector_operators(params), params.tau)
+        spec = spectrum(_sector_operators(params, [params.phi])[0], params.tau)
     except BranchAmbiguityError as exc:
         raise BranchAmbiguityError(f"at mu={params.mu}, phi={params.phi}: {exc}") from exc
     return Spectrum(quasienergies=spec.quasienergies, states=_to_fock(spec.states, params))

@@ -1,5 +1,9 @@
 """The public API surface: every exported name exists where it is declared.
 
+The package namespace is exactly the union of the layer modules' __all__,
+no name is declared by two layers, and every demo, which imports from
+that namespace, runs to completion.
+
 The benchmark tracer looks up each name in a layer module's __all__, so
 a stale entry there breaks traced runs as surely as a broken import.
 No module reads the process environment, so a run's configuration is
@@ -23,17 +27,17 @@ import pytest
 import fockladder
 
 MODULES = ("lattice", "floquet", "meanfield", "observables", "experiments", "validation", "cli")
+# The layers whose __all__ the package namespace re-exports.
+LAYERS = MODULES[:-1]
+SOURCE_ROOT = pathlib.Path(fockladder.__file__).parent.parent
+DEMOS = sorted((SOURCE_ROOT.parent / "demos").glob("*.py"))
 
 
-def package_imports():
-    # (module, name) for every name fockladder/__init__.py imports from a submodule.
-    tree = ast.parse(inspect.getsource(fockladder))
-    return [
-        (node.module, alias.name)
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
-        for alias in node.names
-    ]
+def subprocess_env():
+    # pytest's pythonpath setting does not reach a subprocess: put the
+    # package's source directory on its PYTHONPATH.
+    path = os.pathsep.join(filter(None, [str(SOURCE_ROOT), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -44,15 +48,36 @@ def test_every_all_entry_resolves(name):
     assert len(set(module.__all__)) == len(module.__all__)
 
 
-def test_package_imports_only_declared_names():
-    imports = package_imports()
-    assert imports, "no submodule imports found in fockladder/__init__.py"
-    undeclared = [
-        f"{module}.{name}"
-        for module, name in imports
-        if name not in importlib.import_module(f"fockladder.{module}").__all__
-    ]
-    assert undeclared == []
+def test_package_exports_exactly_the_layers_all():
+    public = {
+        name for name, value in vars(fockladder).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    declared = set().union(*(importlib.import_module(f"fockladder.{name}").__all__ for name in LAYERS))
+    assert public == declared
+
+
+def test_no_name_in_two_layers_all():
+    # The package star-imports each layer in turn, so a name declared by
+    # two layers would be silently shadowed by the later one.
+    owners = {}
+    for layer in LAYERS:
+        for name in importlib.import_module(f"fockladder.{layer}").__all__:
+            owners.setdefault(name, []).append(layer)
+    assert {name: layers for name, layers in owners.items() if len(layers) > 1} == {}
+
+
+def test_demos_found():
+    assert DEMOS, f"no demos found next to {SOURCE_ROOT}"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[path.stem for path in DEMOS])
+def test_demo_runs(demo):
+    result = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, text=True, env=subprocess_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip()
 
 
 ENVIRONMENT_READERS = {"environ", "getenv"}
@@ -111,11 +136,8 @@ def test_cli_run_loads_no_scipy(tmp_path):
         f"main(['ground', '--n', '8', '--out', {str(tmp_path / 'ground.csv')!r}])\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
-    src = str(pathlib.Path(fockladder.__file__).parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=subprocess_env(),
     )
     assert (tmp_path / "ground.csv").exists()
     assert result.stdout.splitlines()[-1] == "[]"

@@ -109,6 +109,12 @@ class TestScanFlux:
             scan_flux(8, mu=0.0, xi=XI, phi_grid=[0.1, 0.2, math.nan])
         assert solves == []
 
+    @pytest.mark.parametrize("phi_grid", [0.5, [[0.1, 0.2], [0.3, 0.4]]], ids=["scalar", "2d"])
+    def test_grid_not_one_dimensional_rejected_before_any_solve(self, solves, phi_grid):
+        with pytest.raises(ValueError, match="flux grid must be one-dimensional"):
+            scan_flux(20, mu=0.0, xi=XI, phi_grid=phi_grid)
+        assert solves == []
+
 
 class TestGroundRecord:
     # The numeric/analytic pair the `ground` command records at one point.
@@ -172,6 +178,17 @@ class TestInteractionScan:
         ids=["mu", "phi"],
     )
     def test_nan_grid_rejected_before_any_solve(self, solves, mu_grid, phi_grid, named):
+        with pytest.raises(ValueError, match=named):
+            interaction_scan(8, XI, mu_grid=mu_grid, phi_grid=phi_grid)
+        assert solves == []
+
+    @pytest.mark.parametrize(
+        "mu_grid, phi_grid, named",
+        [([[-0.2, 0.0, 0.1]], None, "interaction grid must be one-dimensional"),
+         ([-0.2, 0.0, 0.1], [[0.1, 0.3], [0.5, 0.7]], "flux grid must be one-dimensional")],
+        ids=["mu", "phi"],
+    )
+    def test_grid_not_one_dimensional_rejected_before_any_solve(self, solves, mu_grid, phi_grid, named):
         with pytest.raises(ValueError, match=named):
             interaction_scan(8, XI, mu_grid=mu_grid, phi_grid=phi_grid)
         assert solves == []

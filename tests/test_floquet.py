@@ -355,7 +355,7 @@ class TestSolveGround:
         half_e4 = expm(0.25j * n * xi * params.tau * np.kron(SIGMA_X, np.eye(size)))
         u = build_floquet(params)
         framed = half_e4 @ u @ half_e4.conj().T
-        adapted = spectrum(floquet._sector_operators(params), params.tau)
+        adapted = spectrum(floquet._sector_operators(params, [params.phi])[0], params.tau)
         assert np.isrealobj(adapted.states)
         spec = sector_spectra(params)
         np.testing.assert_array_equal(spec.quasienergies, adapted.quasienergies)
