@@ -9,10 +9,11 @@ deterministic, so reruns with the same configuration are
 byte-identical; only the sidecar's wall time differs.
 
 JSON files (data and sidecar) hold exactly the bytes
-json.dump(payload, handle, indent=2) followed by a newline would write,
-streamed row by row: each innermost list is formatted as one string and
-written at once, and numpy arrays are walked without a .tolist() copy
-of the whole payload.
+json.dump(payload, handle, indent=2) followed by a newline would write
+for the payload with its arrays as lists, streamed row by row: each
+innermost list is formatted as one string and written at once, numpy
+arrays are walked without a .tolist() copy, and a bands panel's
+right-leg density rows reuse the strings of its left-leg rows.
 
 Every input rule lives in RunConfig.__post_init__; argparse only turns
 text into ints, floats and lists.  A config parsed from flags, built in
@@ -51,6 +52,7 @@ from .experiments import (
     DEFAULT_PHI_GRID,
     GUARD_POINTS,
     ScanRecord,
+    _theta_mirror,
     band_panels,
     find_mu_max,
     finite_size_extrapolation,
@@ -278,12 +280,40 @@ def _write_json(path, payload):
         handle.write("\n")
 
 
+@dataclass(frozen=True)
+class _MirroredLegs:
+    # The block np.stack([left, left[:, mirror]]) of a non-empty left,
+    # written as json writes that block, with each left value formatted
+    # once: a right row is its left row's text split and rejoined.
+    left: np.ndarray
+    mirror: np.ndarray
+
+    def dump(self, write, pad):
+        leg, row = pad + "  ", pad + "    "
+        head, separator, tail = "[" + row + "  ", "," + row + "  ", row + "]"
+        texts = [_json_row(values.tolist(), row + "  ", row) for values in self.left]
+        mirror = self.mirror.tolist()
+
+        def mirrored(text):
+            items = text[len(head):-len(tail)].split(separator)
+            return head + separator.join(map(items.__getitem__, mirror)) + tail
+
+        for leg_index, rows in enumerate((texts, map(mirrored, texts))):
+            write(("," if leg_index else "[") + leg + "[")
+            for index, text in enumerate(rows):
+                write(("," if index else "") + row + text)
+            write(leg + "]")
+        write(pad + "]")
+
+
 _CONTAINERS = (dict, list, tuple, np.ndarray)
 
 
 def _dump_json(value, write, pad):
     # pad is the newline plus indent of the line value starts on.
     inner = pad + "  "
+    if isinstance(value, _MirroredLegs):
+        return value.dump(write, pad)
     if isinstance(value, np.ndarray):
         if value.ndim == 1:
             write(_json_row(value.tolist(), inner, pad))
@@ -348,10 +378,12 @@ def _cmd_bands(config):
                 rungs[k], panel.ground_density[0, k], panel.ground_density[1, k],
                 phase[0][k], phase[1][k],
             ])
-    # A JSON panel is the BandPanel, field by field, with its masked
-    # ground phase as rows (None where masked).
+    # A JSON panel is the BandPanel, field by field: its right-leg density is
+    # the left leg's, mirrored, and its masked ground phase rows hold None.
     payload = None if config.format == "csv" else {
-        "panels": [{**vars(panel), "ground_phase": phase} for panel, phase in zip(panels, phases)]
+        "panels": [{**vars(panel), "ground_phase": phase,
+                    "density": _MirroredLegs(panel.density[0], _theta_mirror(config.n))}
+                   for panel, phase in zip(panels, phases)]
     }
     result = {
         "fluxes": [panel.flux for panel in panels],

@@ -105,9 +105,10 @@ class BandPanel:
 
     thetas is the discrete Brillouin zone; e_lower/e_upper the mean-field
     bands on it; density[m_index, i, k] the phase density P_m(theta_k) of
-    parity eigenstate i (m_index 0 = left leg, whose density at theta is
-    the right leg's at -theta), in quasienergy order but with i = 0 the
-    solve_ground state to rounding, which the ground_* strips describe site by site.
+    parity eigenstate i (m_index 0 = left leg), in quasienergy order but
+    with i = 0 the solve_ground state to rounding, which the ground_*
+    strips describe site by site.  density[1] is density[0] mirrored,
+    theta -> -theta, bit for bit.
     """
 
     flux: float
@@ -406,6 +407,11 @@ def default_fluxes(xi):
     return (0.5 * phi_c, phi_c, 1.5 * phi_c)
 
 
+def _theta_mirror(n_bosons):
+    # The index of -theta_k on the periodic zone phase_grid(n_bosons).
+    return -np.arange(n_bosons + 1) % (n_bosons + 1)
+
+
 def band_panels(n_bosons, xi, mu=0.0, tau=SystemParams.tau, flux_list=None):
     """Band curves, eigenstate phase densities and ground strips, one sector_spectra per flux."""
     fluxes = default_fluxes(xi) if flux_list is None else tuple(float(f) for f in flux_list)
@@ -421,10 +427,11 @@ def band_panels(n_bosons, xi, mu=0.0, tau=SystemParams.tau, flux_list=None):
         # other doublet member's quasienergy below it.
         order, winner = np.argsort(spec.quasienergies, axis=None, kind="stable"), sector * thetas.size
         order = np.concatenate([[winner], order[order != winner]])
-        # A sector vector x is the state [x; +-x reversed]/sqrt(2).
+        # A sector vector x is the state [x; +-x reversed]/sqrt(2), whose
+        # right-leg density is its left-leg one mirrored, theta -> -theta.
         left = np.swapaxes(spec.states, 1, 2).reshape(-1, thetas.size)[order]
-        legs = np.stack([left, left[:, ::-1]]) / np.sqrt(2.0)
-        density = np.abs(legs @ fourier_t) ** 2
+        left_density = np.abs((left / np.sqrt(2.0)) @ fourier_t) ** 2
+        density = np.stack([left_density, left_density[:, _theta_mirror(n_bosons)]])
         ground_map = fock_density_phase(ground)
         return BandPanel(
             flux=flux,

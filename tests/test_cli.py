@@ -15,6 +15,7 @@ from fockladder.cli import (
     _COMMANDS,
     ENTROPY_PHI_MIN,
     RunConfig,
+    _MirroredLegs,
     _write_json,
     load_sidecar_config,
     main,
@@ -479,13 +480,26 @@ class TestJsonWriter:
         _write_json(path, value)
         assert path.read_bytes() == _stdlib_json(value).encode("ascii")
 
+    def test_mirrored_legs_match_stdlib_indent_2(self, tmp_path):
+        # A right-leg row is its left row's text split and rejoined, so the
+        # json spellings of non-finite values must survive that too.
+        left = self.RNG.random((3, 5))
+        left[1, [1, 3]] = math.nan, math.inf
+        left[2, 4] = -math.inf
+        mirror = np.array([0, 4, 3, 2, 1])
+        path = tmp_path / "out.json"
+        _write_json(path, {"panels": [{"density": _MirroredLegs(left, mirror), "flux": 0.4}]})
+        expected = {"panels": [{"density": np.stack([left, left[:, mirror]]), "flux": 0.4}]}
+        assert path.read_bytes() == _stdlib_json(expected).encode("ascii")
+
     @pytest.mark.parametrize(
         "argv",
         [["bands", "--n", "8", "--fluxes", "0.4,0.9"],
+         ["bands", "--n", "60"],
          ["ground", "--n", "8", "--phi", "0.5"],
          ["current-scan", "--n", "8", "--phi-points", "5"],
          ["validate"]],
-        ids=["bands", "ground", "current-scan", "validate"],
+        ids=["bands", "bands-default-panels", "ground", "current-scan", "validate"],
     )
     def test_cli_json_files_are_stdlib_indent_2(self, tmp_path, argv):
         out = tmp_path / "data.json"

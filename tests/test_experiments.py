@@ -22,6 +22,7 @@ from fockladder.floquet import (
     BranchAmbiguityError,
     SystemParams,
     build_floquet,
+    sector_ground,
     sector_spectra,
     solve_ground,
     solve_grounds,
@@ -480,14 +481,33 @@ class TestBandPanels:
 
     def test_every_eigenstate_is_parity_symmetric_at_a_doublet(self):
         # A parity eigenstate's right leg is its left leg reversed, so its
-        # right-leg density at theta_k is the left-leg one at theta_{-k}.
+        # right-leg density at theta_k is the left-leg one at theta_{-k},
+        # exactly: in the Meissner phase (0.3) and at a vortex doublet (1.4).
         n_bosons = 100
-        panel = band_panels(n_bosons, XI, flux_list=[1.4])[0]
-        assert panel.quasienergies[1] - panel.quasienergies[0] <= DEGENERACY_TOL
+        meissner, doublet = band_panels(n_bosons, XI, flux_list=[0.3, 1.4])
+        assert doublet.quasienergies[1] - doublet.quasienergies[0] <= DEGENERACY_TOL
         mirror = -np.arange(n_bosons + 1) % (n_bosons + 1)
-        np.testing.assert_allclose(
-            panel.density[1], panel.density[0][:, mirror], rtol=0.0, atol=1e-12
-        )
+        for panel in (meissner, doublet):
+            assert np.array_equal(panel.density[1], panel.density[0][:, mirror])
+
+    def test_every_eigenstate_matches_phase_energy_density(self):
+        # Eigenstate i, built here from its sector vector x as
+        # [x; +-x reversed]/sqrt(2) in panel order (the ground state, then
+        # the rest by ascending quasienergy), against observables' route.
+        n_bosons = 8
+        size = n_bosons + 1
+        for panel in band_panels(n_bosons, XI):
+            spec = sector_spectra(SystemParams(n=n_bosons, mu=0.0, xi=XI, phi=panel.flux))
+            winner = sector_ground(spec)[2] * size
+            energies = spec.quasienergies.ravel()
+            order = sorted(range(2 * size), key=lambda j: (j != winner, energies[j]))
+            for i, (sector, column) in enumerate(divmod(j, size) for j in order):
+                x = spec.states[sector, :, column]
+                state = np.concatenate([x, (1 - 2 * sector) * x[::-1]]) / np.sqrt(2.0)
+                for leg, m in enumerate((-1, 1)):
+                    np.testing.assert_allclose(
+                        panel.density[leg, i], phase_energy_density(state, m, panel.thetas),
+                        rtol=0, atol=1e-12)
 
     def test_ground_matches_solve_ground(self):
         params = SystemParams(n=100, mu=0.0, xi=XI, phi=1.4)
