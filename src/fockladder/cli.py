@@ -89,6 +89,7 @@ _RULES = {
            "at least 3 distinct positive even integers"),
     "fluxes": (lambda value: value is None or (len(value) > 0 and all(map(math.isfinite, value))),
                "'auto' or a list of finite numbers"),
+    "out": (lambda value: value is None or isinstance(value, str), "a path string"),
     "format": (lambda value: value in ("csv", "json"), "csv or json"),
 }
 
@@ -109,7 +110,8 @@ class RunConfig:
     field, the per-field table _RULES and the flux and interaction grid
     bounds.  Configs built in code or loaded from sidecars pass through
     it too; a value outside a rule, or of the wrong type, raises
-    ValueError naming its flag.
+    ValueError naming its flag.  It first turns a list or array ns or
+    fluxes into a tuple, the type a sidecar loads it back as.
     """
 
     command: str
@@ -132,6 +134,9 @@ class RunConfig:
     def __post_init__(self):
         if not isinstance(self.command, str) or self.command not in _COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
+        for name in ("ns", "fluxes"):
+            if isinstance(getattr(self, name), (list, np.ndarray)):
+                object.__setattr__(self, name, tuple(getattr(self, name)))
         finite = [(field.name, (math.isfinite, "finite"))
                   for field in dataclasses.fields(self) if field.type == "float"]
         for name, (test, what) in finite + list(_RULES.items()):
@@ -161,11 +166,7 @@ class RunConfig:
             raise ValueError(f"unknown config field(s): {', '.join(unknown)}")
         if "command" not in data:
             raise ValueError("missing config field: command")
-        values = dict(data)
-        for name in ("ns", "fluxes"):
-            if isinstance(values.get(name), list):
-                values[name] = tuple(values[name])
-        return cls(**values)
+        return cls(**data)
 
     def out_path(self):
         return self.out if self.out else f"{self.command}.{self.format}"
@@ -534,7 +535,8 @@ def run(config):
     start = time.perf_counter()
     try:
         header, rows, payload, result, lines = _COMMANDS[config.command][0](config)
-    except (ValueError, ArithmeticError, np.linalg.LinAlgError, BranchAmbiguityError) as exc:
+    except (ValueError, ArithmeticError, MemoryError, np.linalg.LinAlgError,
+            BranchAmbiguityError) as exc:
         print(f"fockladder: error: {exc}", file=sys.stderr)
         return 1
     wall_time = time.perf_counter() - start

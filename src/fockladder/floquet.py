@@ -88,6 +88,10 @@ __all__ = [
 # Two quasienergies closer than this are treated as one degenerate doublet.
 DEGENERACY_TOL = 1e-10
 
+# Smallest accepted tau N (|mu| + 1 + xi) / 2, the closed-form bound on
+# tau |H_eff|: U_F's rounding (~1e-16) over it is the relative eps0 error.
+_TAU_NORM_FLOOR = 1e-8
+
 # Within this of |eps tau| = pi the branch of eps is not determined.
 _BRANCH_MARGIN = 1e-9
 # Off-diagonal |X O - O diag(c)| of an eigh(Y) basis O: <=3e-15 on the sector
@@ -137,6 +141,11 @@ class SystemParams:
             raise ValueError(f"tunneling ratio xi must be >= 0, got {self.xi}")
         if self.tau <= 0:
             raise ValueError(f"kick interval tau must be > 0, got {self.tau}")
+        tau_min = _TAU_NORM_FLOOR / (0.5 * self.n * (abs(self.mu) + 1.0 + self.xi))
+        if self.tau < tau_min:
+            raise ValueError(f"kick interval tau must be >= {tau_min} at n={self.n}, "
+                             f"mu={self.mu}, xi={self.xi}, got {self.tau}: below it "
+                             "rounding in U_F swamps the kick phases")
 
 
 @dataclass(frozen=True)

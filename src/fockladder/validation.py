@@ -6,6 +6,8 @@ identities between the numeric observables and the closed forms.  The
 suite is the backing of the `validate` subcommand and is intentionally
 cheap (a few seconds) so it can run routinely.  Each flux list is solved
 by one floquet.solve_grounds call, the stacked route the scans use.
+Each check writes its tolerance once, as the string its detail shows
+and its comparison reads.
 """
 
 from __future__ import annotations
@@ -30,6 +32,11 @@ def _result(name, passed, detail):
     return CheckResult(name=name, passed=bool(passed), detail=detail)
 
 
+def _within(name, what, worst, tol):
+    # tol is written as the detail shows it, e.g. "1e-10".
+    return _result(name, worst <= float(tol), f"{what} {worst:.2e} (tol {tol})")
+
+
 def _check_spin_algebra():
     worst = 0.0
     for n in (2, 20, 100):
@@ -45,11 +52,7 @@ def _check_spin_algebra():
             np.abs(sz @ sx - sx @ sz - 1j * sy).max(),
             np.abs(sx @ sx + sy @ sy + sz @ sz - s * (s + 1.0) * eye).max(),
         )
-    return _result(
-        "spin-algebra",
-        worst <= 1e-10,
-        f"commutators and Casimir close to {worst:.2e} (tol 1e-10)",
-    )
+    return _within("spin-algebra", "commutators and Casimir close to", worst, "1e-10")
 
 
 def _check_unitarity():
@@ -61,9 +64,7 @@ def _check_unitarity():
     ):
         u = floquet.build_floquet(params)
         worst = max(worst, np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
-    return _result(
-        "floquet-unitarity", worst <= 1e-10, f"max |U*U - I| = {worst:.2e} (tol 1e-10)"
-    )
+    return _within("floquet-unitarity", "max |U*U - I| =", worst, "1e-10")
 
 
 def _check_hermiticity():
@@ -74,9 +75,7 @@ def _check_hermiticity():
     ):
         h = floquet.build_heff(params)
         worst = max(worst, np.abs(h - h.conj().T).max())
-    return _result(
-        "heff-hermiticity", worst <= 1e-12, f"max |H - H*| = {worst:.2e} (tol 1e-12)"
-    )
+    return _within("heff-hermiticity", "max |H - H*| =", worst, "1e-12")
 
 
 def _check_parity():
@@ -94,11 +93,7 @@ def _check_parity():
             np.abs(h @ pi_matrix - pi_matrix @ h).max(),
             np.abs(pi_matrix @ pi_matrix - np.eye(pi_matrix.shape[0])).max(),
         )
-    return _result(
-        "parity-commutation",
-        worst <= 1e-9,
-        f"[U,Pi], [H,Pi] and Pi^2 - I close to {worst:.2e} (tol 1e-9)",
-    )
+    return _within("parity-commutation", "[U,Pi], [H,Pi] and Pi^2 - I close to", worst, "1e-9")
 
 
 def _check_spectrum_contract():
@@ -110,11 +105,11 @@ def _check_spectrum_contract():
     ortho = np.abs(vectors.conj().T @ vectors - np.eye(vectors.shape[0])).max()
     ordered = bool(np.all(np.diff(eps) >= 0))
     margin = np.abs(eps * params.tau).max() / np.pi
-    ok = residual <= 1e-8 and ortho <= 1e-8 and ordered and margin < 1.0
+    tol = "1e-8"
     return _result(
         "spectrum-contract",
-        ok,
-        f"residual {residual:.2e}, orthonormality {ortho:.2e} (tol 1e-8), "
+        residual <= float(tol) and ortho <= float(tol) and ordered and margin < 1.0,
+        f"residual {residual:.2e}, orthonormality {ortho:.2e} (tol {tol}), "
         f"ascending {ordered}, zone usage {margin:.2f} of pi",
     )
 
@@ -127,11 +122,8 @@ def _check_two_route_spectrum():
     u = (v * np.exp(-1j * params.tau * w)) @ v.conj().T
     eps = floquet.spectrum(u, params.tau).quasienergies
     gap = np.abs(eps - energies).max()
-    return _result(
-        "two-route-spectrum",
-        gap <= 1e-8,
-        f"quasienergies of exp(-iHt) vs eigh(H) differ by {gap:.2e} (tol 1e-8)",
-    )
+    return _within("two-route-spectrum", "quasienergies of exp(-iHt) vs eigh(H) differ by",
+                   gap, "1e-8")
 
 
 def _check_route_fidelity():
@@ -145,11 +137,11 @@ def _check_route_fidelity():
         _, exact = np.linalg.eigh(floquet.build_heff(params))
         infidelities.append(1.0 - np.abs(np.vdot(numeric, exact[:, 0])) ** 2)
     ratio = infidelities[0] / infidelities[1]
-    ok = infidelities[0] <= 1e-4 and 3.0 <= ratio <= 5.0
+    tol = "1e-4"
     return _result(
         "route-fidelity",
-        ok,
-        f"infidelity {infidelities[0]:.2e} at tau=0.01 (tol 1e-4), "
+        infidelities[0] <= float(tol) and 3.0 <= ratio <= 5.0,
+        f"infidelity {infidelities[0]:.2e} at tau=0.01 (tol {tol}), "
         f"improves {ratio:.2f}x when tau halves (expect ~4)",
     )
 
@@ -178,12 +170,12 @@ def _check_parity_sector_route():
         worst_parity = max(
             worst_parity, abs(abs(np.vdot(state, pi_matrix @ state).real) - 1.0)
         )
-    ok = worst_eps <= 1e-12 and worst_jc <= 1e-12 and worst_parity <= 1e-12
+    tol = "1e-12"
     return _result(
         "parity-sector-route",
-        ok,
+        worst_eps <= float(tol) and worst_jc <= float(tol) and worst_parity <= float(tol),
         f"sector vs full-space ground: relative eps0 gap {worst_eps:.2e}, "
-        f"j_c gap {worst_jc:.2e}, |<Pi>| - 1 = {worst_parity:.2e} (tol 1e-12)",
+        f"j_c gap {worst_jc:.2e}, |<Pi>| - 1 = {worst_parity:.2e} (tol {tol})",
     )
 
 
@@ -199,11 +191,7 @@ def _check_parseval():
             total = observables.phase_energy_density(state, m, thetas).sum() / size
             leg_norm = np.sum(np.abs(state[m_index * size:(m_index + 1) * size]) ** 2)
             worst = max(worst, abs(total - leg_norm))
-    return _result(
-        "parseval",
-        worst <= 1e-10,
-        f"phase density sums match leg norms to {worst:.2e} (tol 1e-10)",
-    )
+    return _within("parseval", "phase density sums match leg norms to", worst, "1e-10")
 
 
 def _check_entropy_bounds():
@@ -236,11 +224,7 @@ def _check_current_antisymmetry():
     _, states = floquet.solve_grounds(params, phis)
     currents = observables.chiral_current_numeric(states, phis)
     worst = np.abs(currents[0::2] + currents[1::2]).max()
-    return _result(
-        "current-antisymmetry",
-        worst <= 1e-8,
-        f"J_C(phi) + J_C(-phi) = {worst:.2e} (tol 1e-8)",
-    )
+    return _within("current-antisymmetry", "J_C(phi) + J_C(-phi) =", worst, "1e-8")
 
 
 def _check_hellmann_feynman():
@@ -251,11 +235,7 @@ def _check_hellmann_feynman():
     current = observables.chiral_current_numeric(states, phis)[1]
     derivative = (eps[2] - eps[0]) / (2.0 * step)
     rel = abs(derivative - current) / abs(current)
-    return _result(
-        "hellmann-feynman",
-        rel <= 1e-3,
-        f"d eps0/d phi vs J_C relative gap {rel:.2e} (tol 1e-3)",
-    )
+    return _within("hellmann-feynman", "d eps0/d phi vs J_C relative gap", rel, "1e-3")
 
 
 def _check_meanfield_spinor():
@@ -266,11 +246,7 @@ def _check_meanfield_spinor():
             block = meanfield.bloch_block(theta, phi, xi, 2)
             energy = meanfield.band_energy(theta, phi, xi, 2, "lower")
             worst = max(worst, np.abs(block @ vec - energy * vec).max())
-    return _result(
-        "meanfield-spinor",
-        worst <= 1e-10,
-        f"lower-band spinor eigenresidual {worst:.2e} (tol 1e-10)",
-    )
+    return _within("meanfield-spinor", "lower-band spinor eigenresidual", worst, "1e-10")
 
 
 def _check_analytic_current_derivative():
@@ -284,11 +260,8 @@ def _check_analytic_current_derivative():
             values.append(meanfield.band_energy(branch, shifted, xi, 2, "lower"))
         derivative = (values[1] - values[0]) / (2.0 * step)
         worst = max(worst, abs(derivative - meanfield.chiral_current_analytic(phi, xi)))
-    return _result(
-        "analytic-current-derivative",
-        worst <= 1e-6,
-        f"2/N dE_-/dphi vs closed form differ by {worst:.2e} (tol 1e-6)",
-    )
+    return _within("analytic-current-derivative", "2/N dE_-/dphi vs closed form differ by",
+                   worst, "1e-6")
 
 
 def _check_branch_continuity():
@@ -298,11 +271,11 @@ def _check_branch_continuity():
     above = meanfield.chiral_current_analytic(np.nextafter(phi_c, 4.0), xi)
     gap = abs(below - above)
     limit = meanfield.theta0(np.nextafter(phi_c, 4.0), xi)[-1]
-    ok = gap <= 1e-10 and limit <= 1e-4
+    tol = "1e-10"
     return _result(
         "branch-continuity",
-        ok,
-        f"current branches differ by {gap:.2e} at phi_c (tol 1e-10), "
+        gap <= float(tol) and limit <= 1e-4,
+        f"current branches differ by {gap:.2e} at phi_c (tol {tol}), "
         f"theta0 -> {limit:.2e} from above",
     )
 
@@ -316,10 +289,11 @@ def _check_theta0_minimum():
         e = [meanfield.band_energy(root + k * step, phi, 0.5, 100, "lower") for k in (-1, 0, 1)]
         worst_grad = max(worst_grad, abs((e[2] - e[0]) / (2.0 * step)))
         ok_curvature = ok_curvature and (e[0] - 2.0 * e[1] + e[2]) > 0.0
+    tol = "1e-8"
     return _result(
         "theta0-minimizes-band",
-        worst_grad <= 1e-8 and ok_curvature,
-        f"band gradient at theta0 {worst_grad:.2e} (tol 1e-8), curvature positive {ok_curvature}",
+        worst_grad <= float(tol) and ok_curvature,
+        f"band gradient at theta0 {worst_grad:.2e} (tol {tol}), curvature positive {ok_curvature}",
     )
 
 

@@ -140,8 +140,9 @@ class TestRunConfig:
     @pytest.mark.parametrize(
         "field, value",
         [("n", 101), ("n", True), ("n", 2.0), ("n", np.int64(7)), ("tau", 0.0),
-         ("phi_points", 1), ("ns", (20, 40)), ("mu", math.nan), ("fluxes", ())],
-        ids=["n", "n-bool", "n-float", "n-odd-int64", "tau", "phi_points", "ns", "mu", "fluxes"],
+         ("phi_points", 1), ("ns", (20, 40)), ("mu", math.nan), ("fluxes", ()), ("out", 5)],
+        ids=["n", "n-bool", "n-float", "n-odd-int64", "tau", "phi_points", "ns", "mu", "fluxes",
+             "out"],
     )
     def test_rejects_out_of_rule_values(self, field, value):
         flag = "--" + field.replace("_", "-")
@@ -153,11 +154,16 @@ class TestRunConfig:
         "command, fields",
         [("ground", {"n": np.int64(8)}),
          ("fss", {"ns": tuple(np.array([8, 12, 16])), "mu_min": -0.7, "mu_max": -0.2,
-                  "mu_points": 6, "phi_points": 9})],
-        ids=["ground", "fss"],
+                  "mu_points": 6, "phi_points": 9}),
+         ("fss", {"ns": [8, 12, 16], "mu_min": -0.7, "mu_max": -0.2,
+                  "mu_points": 6, "phi_points": 9}),
+         ("bands", {"n": 8, "fluxes": [0.3]}),
+         ("bands", {"n": 8, "fluxes": np.array([0.3, 0.6])})],
+        ids=["ground", "fss", "fss-list", "bands-list", "bands-array"],
     )
     def test_numpy_integers_run_and_round_trip(self, tmp_path, command, fields, fmt):
-        # The rules accept numpy integers, so the writers must spell them.
+        # The rules accept numpy integers, so the writers must spell them;
+        # a list or array ns or fluxes is held as the tuple a sidecar loads.
         out = tmp_path / f"run.{fmt}"
         config = RunConfig(command=command, format=fmt, out=str(out), **fields)
         assert run(config) == 0
@@ -564,6 +570,25 @@ class TestRunErrors:
         config = parse_args(["ground", "--n", "8", "--mu", "-0.1", "--phi", "1.3", "--out", str(out)])
         assert run(config) == 1
         assert capsys.readouterr().err == "fockladder: error: at mu=-0.1, phi=1.3: edge\n"
+        assert not out.exists()
+
+
+    def test_tau_lost_to_rounding_is_a_compute_error(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        config = parse_args(["ground", "--n", "8", "--phi", "0.5", "--tau", "1e-100",
+                             "--out", str(out)])
+        assert run(config) == 1
+        assert "error: kick interval tau must be >= " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_allocation_is_a_compute_error(self, tmp_path, capsys, monkeypatch):
+        def refuse(config):
+            raise MemoryError("Unable to allocate 71.1 PiB")
+
+        monkeypatch.setitem(_COMMANDS, "ground", (refuse, *_COMMANDS["ground"][1:]))
+        out = tmp_path / "g.csv"
+        assert run(RunConfig(command="ground", out=str(out))) == 1
+        assert capsys.readouterr().err == "fockladder: error: Unable to allocate 71.1 PiB\n"
         assert not out.exists()
 
 

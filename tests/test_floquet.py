@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -16,6 +18,7 @@ from fockladder.floquet import (
     spectrum,
 )
 from fockladder import floquet
+from fockladder.experiments import DEFAULT_PHI_GRID
 from fockladder.lattice import (
     SIGMA_X,
     SIGMA_Z,
@@ -86,6 +89,27 @@ class TestSystemParams:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             SystemParams(n=4, mu=np.inf, xi=0.5, phi=0.3)
+
+    def test_rejects_tau_lost_to_rounding_naming_the_smallest_that_passes(self):
+        point = dict(n=8, mu=0.0, xi=0.5, phi=0.5)
+        with pytest.raises(ValueError, match="tau must be >= ") as refused:
+            SystemParams(**point, tau=1e-100)
+        tau_min = float(str(refused.value).split(">= ")[1].split()[0])
+        assert SystemParams(**point, tau=tau_min).tau == tau_min
+        with pytest.raises(ValueError, match="tau must be >= "):
+            SystemParams(**point, tau=np.nextafter(tau_min, 0.0))
+
+    def test_strictest_point_accepts_tau_1e_8(self):
+        # N=2, mu=xi=0 has the smallest bound N (|mu| + 1 + xi) / 2 per unit
+        # tau, so the highest floor.
+        assert SystemParams(n=2, mu=0.0, xi=0.0, phi=0.3, tau=1e-8).tau == 1e-8
+
+    @pytest.mark.parametrize("n", [20, 400])
+    def test_twice_the_tau_floor_matches_heff(self, n):
+        tau = 2.0 * floquet._TAU_NORM_FLOOR / (0.5 * n * (0.2 + 1.0 + 0.5))
+        params = SystemParams(n=n, mu=-0.2, xi=0.5, phi=0.5, tau=tau)
+        exact = np.linalg.eigvalsh(build_heff(params))[0]
+        assert abs(solve_ground(params)[0] - exact) <= 1e-6 * abs(exact)
 
 
 class TestBuildFloquet:
@@ -535,3 +559,70 @@ class TestSolveGrounds:
     def test_refuses_a_non_finite_flux(self):
         with pytest.raises(ValueError, match="phi must be finite"):
             solve_grounds(SystemParams(n=8, mu=0.0, xi=0.5, phi=0.0), [0.2, np.nan])
+
+
+class TestRandomAudit:
+    # Seeded draws over the accepted domain, each seed fixed before any
+    # result was seen: a failing draw is a defect of the engine.
+
+    def _draw(self, rng):
+        n = int(2 * rng.integers(1, 31))
+        mu = float(rng.uniform(-5.0, 20.0))
+        xi = float(rng.uniform(0.0, 4.0)) if rng.random() < 0.5 else 0.0
+        phi = float(rng.uniform(-np.pi, np.pi))
+        tau = float(np.exp(rng.uniform(np.log(3e-4), np.log(0.6))))
+        return SystemParams(n=n, mu=mu, xi=xi, phi=phi, tau=tau)
+
+    def test_points_match_the_full_space_route(self):
+        # Even N in [2, 60], mu in [-5, 20], xi = 0 or in [0, 4], phi in
+        # [-pi, pi], tau log-uniform in [3e-4, 0.6].
+        rng = np.random.default_rng(20261020)
+        for _ in range(150):
+            params = self._draw(rng)
+            try:
+                eps0, state = solve_ground(params)
+            except BranchAmbiguityError:
+                continue
+            u = build_floquet(params)
+            phase = np.exp(-1j * eps0 * params.tau)
+            assert abs(eps0 * params.tau - np.min(-np.angle(np.linalg.eigvals(u)))) <= 1e-9, params
+            assert np.abs(u @ state - phase * state).max() <= 1e-8, params
+
+    def _assert_stack_equals_one_flux_solves(self, params, phis):
+        singles = []
+        for phi in phis:
+            try:
+                singles.append(solve_ground(replace(params, phi=float(phi))))
+            except BranchAmbiguityError:
+                with pytest.raises(BranchAmbiguityError):
+                    solve_grounds(params, phis)
+                return
+        eps, states = solve_grounds(params, phis)
+        for k, (eps0, state) in enumerate(singles):
+            assert eps[k] == eps0 and (states[k] == state).all(), (params, phis[k])
+
+    def test_flux_lists_mixing_both_routes_equal_one_flux_solves(self):
+        # tau puts the closed-form bound tau N (|mu| + 1 + xi) / 2 in [1.3,
+        # 2.2], where at small |mu| and xi ~ 1 the Cholesky certificate
+        # holds at some fluxes and not at others.
+        rng = np.random.default_rng(20261021)
+        mixed = 0
+        for _ in range(30):
+            n = int(2 * rng.integers(1, 21))
+            mu, xi = float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.5, 2.0))
+            tau = float(rng.uniform(1.3, 2.2) / (0.5 * n * (abs(mu) + 1.0 + xi)))
+            phis = rng.uniform(-np.pi, np.pi, int(rng.integers(2, 25)))
+            params = SystemParams(n=n, mu=mu, xi=xi, phi=0.0, tau=tau)
+            certified = {_certified(replace(params, phi=float(phi))) for phi in phis}
+            mixed += certified == {True, False}
+            self._assert_stack_equals_one_flux_solves(params, phis)
+        assert mixed >= 5
+
+    def test_singular_shift_point_in_its_guard_stack(self):
+        # The default-grid guard of find_mu_max(20, 0.5) at mu=-0.58 holds
+        # phi=0.99484, where Y - lambda I was exactly singular in LU
+        # (OpenBLAS 0.3.31): its stack is then refactored one flux at a time.
+        guard = DEFAULT_PHI_GRID[::4]
+        assert abs(guard[19] - 0.99484) < 1e-5
+        params = SystemParams(n=20, mu=-0.58, xi=0.5, phi=0.0, tau=0.01)
+        self._assert_stack_equals_one_flux_solves(params, guard)
