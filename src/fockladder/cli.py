@@ -10,10 +10,11 @@ byte-identical; only the sidecar's wall time differs.
 
 JSON files (data and sidecar) hold exactly the bytes
 json.dump(payload, handle, indent=2) followed by a newline would write
-for the payload with its arrays as lists, streamed row by row: each
-innermost list is formatted as one string and written at once, numpy
-arrays are walked without a .tolist() copy, and a bands panel's
-right-leg density rows reuse the strings of its left-leg rows.
+for the payload with its arrays as lists, streamed leaf by leaf: the
+stdlib's C encoder spells every leaf (a scalar, or a list, tuple,
+1-D array or dict of scalars) as one string, written at once, and a
+bands panel's right-leg density rows reuse the strings of its
+left-leg rows.
 
 Every input rule lives in RunConfig.__post_init__; argparse only turns
 text into ints, floats and lists.  A config parsed from flags, built in
@@ -41,6 +42,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -175,7 +177,11 @@ class RunConfig:
 def load_sidecar_config(path):
     """RunConfig stored in a metadata sidecar written by a previous run."""
     with open(path, encoding="utf-8") as handle:
-        return RunConfig.from_dict(json.load(handle)["config"])
+        meta = json.load(handle)
+    config = meta.get("config") if isinstance(meta, dict) else None
+    if not isinstance(config, dict):
+        raise ValueError(f"sidecar {path} holds no 'config' object")
+    return RunConfig.from_dict(config)
 
 
 # ---------------------------------------------------------------- parsing
@@ -207,7 +213,7 @@ _FLAGS = {
     "fluxes": (_flux_list, "comma-separated fluxes in rad, or 'auto' for "
                            "phi_c/2, phi_c, 3 phi_c/2 (default auto)"),
     "out": (str, "output path (default <command>.<format>)"),
-    "format": (str, "data file format"),
+    "format": (str, "data file format, csv or json"),
 }
 
 
@@ -236,8 +242,7 @@ def _build_parser():
                 text += f" (default {_shown(default)})"
             if name == "phi_points" and "mu_points" in names:  # a find_mu_max command
                 text += f"; each flux-peak search thins it to at most {GUARD_POINTS} guard fluxes"
-            p.add_argument("--" + name.replace("_", "-"), type=kind, default=default, help=text,
-                           choices=("csv", "json") if name == "format" else None)
+            p.add_argument("--" + name.replace("_", "-"), type=kind, default=default, help=text)
     return parser
 
 
@@ -270,11 +275,12 @@ def _write_json(path, payload):
     """Write payload as json.dump(payload, indent=2) plus a newline would.
 
     The stdlib encoder yields one chunk per token in pure Python whenever
-    indent is set; here each innermost row is formatted as one joined
-    string and written at once, so a document is never held whole.
-    ndarrays are written as their .tolist() would be, walked along their
-    first axis, and any other numpy scalar as its .item(); dict keys
-    must be strings.
+    indent is set; here the stdlib's C encoder spells each leaf (a
+    scalar, or a list, tuple or dict of scalars) in one call, and the
+    containers above the leaves are walked, so a document is never held
+    whole.  ndarrays are written as their .tolist() would be, walked
+    along their first axis, and any other numpy scalar as its .item();
+    dict keys must be strings.
     """
     with open(path, "w", encoding="utf-8") as handle:
         _dump_json(payload, handle.write, "\n")
@@ -292,7 +298,7 @@ class _MirroredLegs:
     def dump(self, write, pad):
         leg, row = pad + "  ", pad + "    "
         head, separator, tail = "[" + row + "  ", "," + row + "  ", row + "]"
-        texts = [_json_row(values.tolist(), row + "  ", row) for values in self.left]
+        texts = [_json_flat(values.tolist(), row + "  ", row) for values in self.left]
         mirror = self.mirror.tolist()
 
         def mirrored(text):
@@ -307,7 +313,7 @@ class _MirroredLegs:
         write(pad + "]")
 
 
-_CONTAINERS = (dict, list, tuple, np.ndarray)
+_CONTAINERS = (dict, list, tuple, np.ndarray, _MirroredLegs)
 
 
 def _dump_json(value, write, pad):
@@ -316,11 +322,8 @@ def _dump_json(value, write, pad):
     if isinstance(value, _MirroredLegs):
         return value.dump(write, pad)
     if isinstance(value, np.ndarray):
-        if value.ndim == 1:
-            write(_json_row(value.tolist(), inner, pad))
-            return
-        value = list(value)
-    if isinstance(value, dict) and value:
+        value = value.tolist() if value.ndim == 1 else list(value)
+    if isinstance(value, dict) and any(isinstance(item, _CONTAINERS) for item in value.values()):
         write("{")
         for index, (key, item) in enumerate(value.items()):
             write(("," if index else "") + inner + encode_basestring_ascii(key) + ": ")
@@ -332,31 +335,24 @@ def _dump_json(value, write, pad):
             write(("," if index else "") + inner)
             _dump_json(item, write, inner)
         write(pad + "]")
-    elif isinstance(value, (list, tuple)):
-        write(_json_row(value, inner, pad))
     else:
-        write(_json_scalar(value))
+        write(_json_flat(value, inner, pad))
 
 
-def _json_scalar(value):
+@lru_cache(maxsize=None)
+def _encoder(inner):
     # json writes np.float64 as the float it is, and numpy integers and
     # bools, which are not ints, as their .item().
-    return json.dumps(value, default=np.generic.item)
+    return json.JSONEncoder(separators=("," + inner, ": "), default=np.generic.item).encode
 
 
-def _json_row(row, inner, pad):
-    # A list of scalars as one string.  A row of finite floats is spelled
-    # by float.__repr__, as json spells them; any other row (None, NaN,
-    # Infinity, ints, bools, strings) goes through json.dumps item by item.
-    if not row:
-        return "[]"
-    separator = "," + inner
-    try:
-        if all(map(math.isfinite, row)):
-            return "[" + inner + separator.join(map(float.__repr__, row)) + pad + "]"
-    except (TypeError, OverflowError):
-        pass
-    return "[" + inner + separator.join(map(_json_scalar, row)) + pad + "]"
+def _json_flat(value, inner, pad):
+    # A leaf in one C-encoder call; a non-empty container is then broken
+    # over lines as indent=2 breaks it, its items already one per line.
+    text = _encoder(inner)(value)
+    if isinstance(value, (dict, list, tuple)) and value:
+        return text[0] + inner + text[1:-1] + pad + text[-1]
+    return text
 
 
 # ---------------------------------------------------------------- commands

@@ -47,6 +47,13 @@ def _check_flux(phi):
         raise ValueError(f"flux {phi} outside [0, pi/2]")
 
 
+def _check_domain(phi, xi):
+    # The branch formulas' domain; written as negations so NaN fails.
+    if not xi > 0:
+        raise ValueError(f"tunneling ratio xi must be > 0, got {xi}")
+    _check_flux(phi)
+
+
 def band_energy(theta, phi, xi, n_bosons, band="lower"):
     """Band energies E(theta)/J = -(N/2)[cos t cos p -+ sqrt(xi^2 + sin^2 t sin^2 p)].
 
@@ -78,7 +85,7 @@ def mixing_angle(theta, phi, xi):
     Requires xi > 0; at xi = 0 the legs decouple and the angle is
     undefined.
     """
-    if xi <= 0:
+    if not xi > 0:
         raise ValueError(f"mixing angle needs xi > 0 (decoupled legs at xi = {xi})")
     b = np.sin(theta) * np.sin(phi)
     return 2.0 * np.arctan((b + np.hypot(xi, b)) / xi)
@@ -95,7 +102,7 @@ def meanfield_state(theta, phi, xi):
 
 def critical_flux(xi):
     """Flux phi_c = acos[(-xi + sqrt(xi^2 + 4))/2] of the transition."""
-    if xi < 0:
+    if not xi >= 0:
         raise ValueError(f"tunneling ratio xi must be >= 0, got {xi}")
     return float(np.arccos((-xi + np.sqrt(xi**2 + 4.0)) / 2.0))
 
@@ -108,9 +115,7 @@ def theta0(phi, xi):
     phase.  The negative discriminant below phi_c is what closes the
     vortex branch, not an error.
     """
-    if xi <= 0:
-        raise ValueError(f"tunneling ratio xi must be > 0, got {xi}")
-    _check_flux(phi)
+    _check_domain(phi, xi)
     if phi <= critical_flux(xi):
         return (0.0,)
     sin2 = np.sin(phi) ** 2 - xi**2 / np.tan(phi) ** 2
@@ -125,9 +130,7 @@ def chiral_current_analytic(phi, xi):
     xi^2 cos(phi) / (sin^2 phi sqrt(xi^2 + sin^2 phi)) above it; the
     boson number drops out of this normalization.
     """
-    if xi <= 0:
-        raise ValueError(f"tunneling ratio xi must be > 0, got {xi}")
-    _check_flux(phi)
+    _check_domain(phi, xi)
     if phi <= critical_flux(xi):
         return float(np.sin(phi))
     sin2 = np.sin(phi) ** 2
@@ -140,7 +143,7 @@ def mu_critical(xi):
     At this attraction the junction's self-trapping transition meets
     the Meissner to vortex transition.
     """
-    if xi < 0:
+    if not xi >= 0:
         raise ValueError(f"tunneling ratio xi must be >= 0, got {xi}")
     return float((xi - np.sqrt(xi**2 + 4.0)) / 4.0)
 
@@ -154,9 +157,7 @@ def entropy_analytic(phi, xi):
     at phi_c and exceeds it below.  Refuses flux outside [0, pi/2],
     and is singular at sin phi = 0.
     """
-    if xi <= 0:
-        raise ValueError(f"tunneling ratio xi must be > 0, got {xi}")
-    _check_flux(phi)
+    _check_domain(phi, xi)
     s = np.sin(phi)
     if s == 0.0:
         raise ValueError(

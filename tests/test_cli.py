@@ -119,8 +119,9 @@ class TestParseArgs:
             (["ground", "--xi", "-1"], "-1.0"),
             (["current-scan", "--phi-points", "1"], "1"),
             (["fss", "--ns", "20,40"], "(20, 40)"),
+            (["ground", "--format", "xml"], "'xml'"),
         ],
-        ids=["n", "tau", "xi", "phi-points", "ns"],
+        ids=["n", "tau", "xi", "phi-points", "ns", "format"],
     )
     def test_usage_message_names_flag_and_value(self, capsys, argv, shown):
         usage_exit(argv)
@@ -189,6 +190,14 @@ class TestRunConfig:
                           if value is not ...}  # ... drops the field
         sidecar.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match=named):
+            load_sidecar_config(sidecar)
+
+    @pytest.mark.parametrize("meta", [{"version": "x"}, [1, 2], {"config": [1]}],
+                             ids=["no-config", "top-level-list", "config-list"])
+    def test_sidecar_without_config_object_is_refused(self, tmp_path, meta):
+        sidecar = tmp_path / "run.csv.meta.json"
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="no 'config' object"):
             load_sidecar_config(sidecar)
 
     def test_default_output_name(self):
@@ -476,10 +485,15 @@ class TestJsonWriter:
             np.zeros((2, 0)),
             {"panels": [{"flux": 0.4, "density": np.arange(12.0).reshape(2, 3, 2)}]},
             {"naïve ☃ key": "Fock-Zustände ψ", "list": ["é", "\u2028", "\"q\""]},
+            {"a": np.float64(0.1), "b": np.int64(3), "c": math.nan, "d": None,
+             "e": np.bool_(False), "f": "x"},
+            (0.25, None, math.inf),
+            [10**400, 1.5, -0.0],
         ],
         ids=["empty-dict", "empty-list", "nested-empty", "float-row-specials", "ndarray-specials",
              "numpy-scalars-bools-ints", "mixed-dict", "ndarray-1d", "ndarray-2d",
-             "ndarray-3d", "ndarray-empty-rows", "ndarray-in-dict", "non-ascii"],
+             "ndarray-3d", "ndarray-empty-rows", "ndarray-in-dict", "non-ascii",
+             "scalar-dict", "tuple-row", "huge-int-row"],
     )
     def test_bytes_match_stdlib_indent_2(self, tmp_path, value):
         path = tmp_path / "out.json"

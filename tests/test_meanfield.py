@@ -38,8 +38,10 @@ class TestCriticalFlux:
         assert values == sorted(values)
 
     def test_rejects_negative_coupling(self):
-        with pytest.raises(ValueError):
-            critical_flux(-0.1)
+        for xi in (-0.1, math.nan):
+            for closed_form in (critical_flux, mu_critical):
+                with pytest.raises(ValueError, match="must be >= 0"):
+                    closed_form(xi)
 
 
 class TestMuCritical:
@@ -93,8 +95,9 @@ class TestSpinor:
         assert vec @ vec == pytest.approx(1.0, abs=1e-14)
 
     def test_rejects_decoupled_legs(self):
-        with pytest.raises(ValueError, match="decoupled legs"):
-            mixing_angle(0.5, 1.0, 0.0)
+        for xi in (0.0, math.nan):
+            with pytest.raises(ValueError, match="decoupled legs"):
+                mixing_angle(0.5, 1.0, xi)
 
 
 class TestTheta0:
@@ -131,6 +134,10 @@ class TestTheta0:
             theta0(2.0, XI)
         with pytest.raises(ValueError):
             theta0(1.0, 0.0)
+        with pytest.raises(ValueError, match="must be > 0"):
+            theta0(0.9, math.nan)
+        with pytest.raises(ValueError, match="outside"):
+            theta0(math.nan, XI)
 
 
 class TestChiralCurrent:
@@ -168,6 +175,8 @@ class TestChiralCurrent:
             chiral_current_analytic(-0.1, XI)
         with pytest.raises(ValueError):
             chiral_current_analytic(0.5, 0.0)
+        with pytest.raises(ValueError, match="must be > 0"):
+            chiral_current_analytic(0.3, math.nan)
 
 
 class TestEntropyAnalytic:
@@ -197,8 +206,13 @@ class TestEntropyAnalytic:
         for phi in np.linspace(0.05, np.pi / 2, 40):
             assert 0.0 <= entropy_analytic(phi, XI) <= np.log(2.0) + 1e-15
 
+    def test_refuses_coupling_outside_domain(self):
+        for xi in (0.0, math.nan):
+            with pytest.raises(ValueError, match="must be > 0"):
+                entropy_analytic(0.9, xi)
+
     def test_refuses_flux_outside_domain(self):
-        for phi in (2.5, -0.4):
+        for phi in (2.5, -0.4, math.nan):
             with pytest.raises(ValueError, match=r"outside \[0, pi/2\]"):
                 entropy_analytic(phi, XI)
 
