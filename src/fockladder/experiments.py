@@ -51,16 +51,15 @@ DEFAULT_PHI_GRID = np.linspace(0.0, np.pi / 2.0, 121)
 DEFAULT_MU_GRID = np.linspace(-0.6, 0.1, 71)
 DEFAULT_NS = (20, 40, 60, 80, 100)
 
-# Flux peaks: a guard of at most GUARD_POINTS grid fluxes, then a
-# bounded Brent search on the bracket of each guard local maximum and on
-# a warm bracket around the previous interaction's peak flux.  The guard
-# is one stacked solve, and the searches advance in lockstep, one stacked
-# solve per step.  Rows are
-# located to PEAK_XATOL, in flux and, for mu_max, in mu.  Near mu_max
-# the flux peak is a jump where the parity sectors' lowest quasienergies
-# cross (j_c falls by ~0.13 within 1e-6 of flux), so the peak current is
-# low by about slope * xatol; inside the mu polish the flux searches use
-# POLISH_XATOL, without which mu_max jitters by ~4e-5.
+# Flux peaks: a guard of at most GUARD_POINTS grid fluxes, then one bounded
+# Brent search per distinct bracket: that of each guard local maximum and a
+# warm one around the previous interaction's peak flux.  The guard is one
+# stacked solve, and the searches advance in lockstep, one stacked solve per
+# step.  Rows are located to PEAK_XATOL, in flux and, for mu_max, in mu.
+# Near mu_max the flux peak is a jump where the parity sectors' lowest
+# quasienergies cross (j_c falls by ~0.13 within 1e-6 of flux), so the peak
+# current is low by about slope * xatol; inside the mu polish the flux
+# searches use POLISH_XATOL, without which mu_max jitters by ~4e-5.
 GUARD_POINTS = 31
 PEAK_XATOL = 1e-6
 POLISH_XATOL = 1e-9
@@ -273,7 +272,9 @@ def _flux_peak(n_bosons, mu, xi, tau, grid, warm=None, xatol=PEAK_XATOL):
         brackets.append((max(warm - step, grid[0]), min(warm + step, grid[-1])))
     k = int(np.argmax(values))
     best_phi, best = float(guard[k]), float(values[k])
-    searches = [_brent_max(float(lo), float(hi), xatol) for lo, hi in brackets if lo < hi]
+    # Equal brackets run equal searches: one per distinct bracket.
+    distinct = dict.fromkeys((float(lo), float(hi)) for lo, hi in brackets if lo < hi)
+    searches = [_brent_max(lo, hi, xatol) for lo, hi in distinct]
     for phi, jc in _lockstep(searches, currents):
         if jc > best:
             best_phi, best = phi, jc
@@ -286,9 +287,9 @@ def interaction_scan(n_bosons, xi, tau=SystemParams.tau, mu_grid=None, phi_grid=
     Returns a list of (mu, peak_phi, peak_jc) triples, one per grid
     interaction, with the current maximized over flux for each (guard +
     warm bracket + bounded Brent, peak flux located to 1e-6); refused at xi = 0.
-    Each row's guard is one solve_grounds stack and its Brent searches
-    share one stack per step; rows run in order, since each row's warm
-    bracket is the previous row's peak flux.
+    Each row's guard is one solve_grounds stack, and one Brent search per
+    distinct bracket shares one stack per step; rows run in order, since
+    each row's warm bracket is the previous row's peak flux.
     """
     if xi == 0.0:
         raise ValueError("no current maximum at xi = 0: the legs decouple and j_c vanishes identically")

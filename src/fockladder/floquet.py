@@ -43,11 +43,14 @@ and inverse iteration gives the winner's vector; where that fails (large
 mu N tau, e.g. N=100, mu=5) sector_spectra solves both sectors in full.
 Only that route meets the zone edge; its BranchAmbiguityError names mu, phi.
 Either way sector_ground takes the lower minimum, the even sector on a
-tie within DEGENERACY_TOL (a vortex doublet).  The fluxes of one
-solve_grounds call share every other parameter and go through the
-factorizations as one stack, in chunks of about _STACK_BYTES per
-(k, 2, d, d) array; each point's numbers are bit for bit those of
-solving it alone, and solve_ground is the one-flux case.
+tie within DEGENERACY_TOL (a vortex doublet).  The sector operators come
+from one cached frame product, symmetric to rounding; cholesky and
+eigvalsh read their lower triangle, and the LU and sector_spectra its
+mirror.  The fluxes of one solve_grounds call share every other
+parameter and go through the factorizations as one stack, in chunks of
+about _STACK_BYTES per (k, 2, d, d) array, halved where one fails; each
+point's numbers are bit for bit those of solving it alone, and
+solve_ground is the one-flux case.
 build_floquet, the general branch of spectrum and ground_state are the
 full-space reference route.
 """
@@ -177,7 +180,7 @@ def _kick_factors(params, phi):
     sz2 = (p.mu * p.tau / p.n) * nvals**2
     # E1 = exp(-i [sz2 + phi n sigma_z]); sigma_z = -1 on the left leg.
     e1_left = np.exp(-1j * (sz2 - phi * nvals))
-    e1_right = np.exp(-1j * (sz2 + phi * nvals))
+    e1_right = e1_left[..., ::-1]  # n -> -n, exactly: nvals is odd
 
     half_kick = 0.5 * p.n * p.xi * p.tau
     return kick, e1_left, e1_right, np.cos(half_kick), np.sin(half_kick)
@@ -315,39 +318,53 @@ def _fold(m):
 
 
 @lru_cache(maxsize=16)
-def _frame_phases(n_bosons, xi, tau):
-    # Row and column scales (2, 2, d), even sector first, taking the fold
-    # S M S^T to G Q^dagger M Q G.  On the adapted basis Q = S^T diag(f), R is
-    # d = (+1 on e_0 and the symmetric pairs, -1 on the antisymmetric ones),
-    # so E4^{1/2} = cos a +- i sin a R, a = N xi tau / 4, is G = e^{+-i a d}.
+def _frame(n_bosons, xi, tau):
+    # Read-only (scales, index, coef, lower) of the adapted frame, even sector
+    # first.  scales (2, d, d) take the fold S M S^T to G Q^dagger M Q G: on
+    # Q = S^T diag(f), R is d = (+1 on e_0 and the symmetric pairs, -1 on the
+    # antisymmetric ones), so E4^{1/2} = cos a +- i sin a R, a = N xi tau / 4,
+    # is G = e^{+-i a d}.  Entry i of the parity state [x; +-x reversed] with
+    # x = E4^{-1/2} Q y = S^T (f conj(g) y) is the sum over t of
+    # coef[s, t, i] y[index[t, i]]: the two terms S^T adds (e_0 as halves).
+    # lower masks the triangle that cholesky and eigvalsh read.
     half = n_bosons // 2
     d = np.concatenate([np.ones(half + 1), -np.ones(half)])
     f = np.concatenate([[1.0], np.full(half, np.sqrt(0.5)), np.full(half, 1j * np.sqrt(0.5))])
     g = np.exp(0.25j * n_bosons * xi * tau * np.multiply.outer((1.0, -1.0), d))
-    table = np.stack([np.conj(f) * g, f * g])
-    table.setflags(write=False)
-    return table
+    rows, cols = np.conj(f) * g, f * g
+    n = np.arange(-half, half + 1)
+    pairs = np.stack([abs(n), np.where(n == 0, 0, half + abs(n))])
+    coef = np.conj(rows)[:, pairs] * np.where(n == 0, 0.5, np.stack([np.ones(n.size), np.sign(n)]))
+    tables = (rows[:, :, None] * cols[:, None, :], np.concatenate([pairs, pairs[:, ::-1]], axis=-1),
+              np.concatenate([coef, np.array([1.0, -1.0])[:, None, None] * coef[..., ::-1]], axis=-1),
+              np.tri(n.size, dtype=bool))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def _sector_operators(params, phis):
     # W_+- = E4^{1/2} U_+- E4^{-1/2} on the adapted basis, stacked
     # (k, 2, d, d) with one pair per flux of phis, row 0 even.
     # U_+- = M g_+-^2, M = D_L K D_R (E1 E2 E3 on the left-leg rows), so
-    # W_+- = G Q^dagger M Q G, symmetric as M^T = R M R.
+    # W_+- = G Q^dagger M Q G, symmetric as M^T = R M R, to rounding.
     kick, e1_left, e1_right, _, _ = _kick_factors(params, np.asarray(phis)[:, None])
     folded = _transpose(_fold(_transpose(_fold(e1_left[..., :, None] * kick * e1_right[..., None, :]))))
-    rows, cols = _frame_phases(params.n, params.xi, params.tau)
-    w = folded[..., None, :, :] * rows[:, :, None] * cols[:, None, :]
-    return 0.5 * (w + _transpose(w))
+    return folded[..., None, :, :] * _frame(params.n, params.xi, params.tau)[0]
 
 
-def _to_fock(vectors, params):
-    # Sector vectors x = E4^{-1/2} Q y = S^T (conj(rows) y) on the rung
-    # basis from adapted-basis columns y, stacked (..., 2, d, k) like the spectra.
-    z = np.conj(_frame_phases(params.n, params.xi, params.tau)[0])[:, :, None] * vectors
-    half = z.shape[-2] // 2
-    sym, anti = z[..., 1:half + 1, :], z[..., half + 1:, :]
-    return np.concatenate([(sym - anti)[..., ::-1, :], z[..., :1, :], sym + anti], axis=-2)
+def _lower_mirror(a, params):
+    # The symmetric matrices (..., d, d) with the lower triangle of a.
+    return np.where(_frame(params.n, params.xi, params.tau)[3], a, _transpose(a))
+
+
+def _parity_columns(vectors, sectors, params, legs):
+    # The parity states [x; +-x reversed] (..., 2d, m) of adapted-basis
+    # columns y (..., d, m) of the given sectors (_frame); x alone at legs=1.
+    _, index, coef, _ = _frame(params.n, params.xi, params.tau)
+    stop = legs * vectors.shape[-2]
+    terms = coef[sectors][..., :stop, None] * vectors[..., index[:, :stop], :]
+    return terms[..., 0, :, :] + terms[..., 1, :, :]
 
 
 def sector_spectra(params):
@@ -358,10 +375,10 @@ def sector_spectra(params):
     names the point: "at mu=..., phi=...: " leads spectrum's message.
     """
     try:
-        spec = spectrum(_sector_operators(params, [params.phi])[0], params.tau)
+        spec = spectrum(_lower_mirror(_sector_operators(params, [params.phi])[0], params), params.tau)
     except BranchAmbiguityError as exc:
         raise BranchAmbiguityError(f"at mu={params.mu}, phi={params.phi}: {exc}") from exc
-    return Spectrum(quasienergies=spec.quasienergies, states=_to_fock(spec.states, params))
+    return Spectrum(quasienergies=spec.quasienergies, states=_parity_columns(spec.states, [0, 1], params, 1))
 
 
 def _lower_sector(minima):
@@ -378,28 +395,24 @@ def sector_ground(spec):
     """
     minima = spec.quasienergies[:, 0]
     sector = int(_lower_sector(minima))
-    return minima.min(), _parity_states(spec.states[sector, :, 0], sector), sector
+    x = spec.states[sector, :, 0]
+    return minima.min(), _unit_rows(np.concatenate([x, (1 - 2 * sector) * x[::-1]])), sector
 
 
 def _unit_rows(rows):
-    # Each row along the last axis divided in place by its own
-    # np.linalg.norm: a stacked norm rounds differently.
-    for index in np.ndindex(rows.shape[:-1]):
-        rows[index] /= np.linalg.norm(rows[index])
+    # Each row along the last axis divided in place by its norm, summed
+    # part by part as np.linalg.norm sums one row, bit for bit.
+    parts = (rows.real, rows.imag) if np.iscomplexobj(rows) else (rows,)
+    rows /= np.sqrt(sum(part[..., None, :] @ part[..., :, None] for part in parts))[..., 0]
     return rows
-
-
-def _parity_states(x, sectors):
-    # The unit states [x; +-x reversed] of sector vectors x (..., d), + in the
-    # even sector.
-    return _unit_rows(np.concatenate([x, np.asarray(1 - 2 * sectors)[..., None] * x[..., ::-1]], axis=-1))
 
 
 def _certified_grounds(params, phis):
     # (eps0s, states, certified) at the fluxes phis: sector_ground's
     # quasienergy and state, and whether the certificate held; rows not
-    # certified hold no answer.  A stack whose factorizations fail anywhere
-    # is solved again one flux at a time, to find which fluxes fail.
+    # certified hold no answer.  cholesky, eigvalsh, the LU and the residual
+    # all see _lower_mirror(W).  A stack whose factorizations fail anywhere
+    # is solved again as two halves, down to the fluxes that fail.
     w = _sector_operators(params, phis)
     size = w.shape[-1]
     eye = np.eye(size)
@@ -409,7 +422,7 @@ def _certified_grounds(params, phis):
         eps = -np.arcsin(tops) / params.tau
         sectors = _lower_sector(eps)
         points = np.arange(sectors.size)
-        shifted = w.imag[points, sectors]
+        shifted = _lower_mirror(w.imag[points, sectors], params)
         shifted -= tops[points, sectors][:, None, None] * eye
         # Two steps of inverse iteration from a start vector with no lattice
         # symmetry; an overflow fails the residual check below.
@@ -418,12 +431,12 @@ def _certified_grounds(params, phis):
     except np.linalg.LinAlgError:
         if len(phis) == 1:
             return np.full(1, np.nan), np.zeros((1, 2 * size), dtype=complex), np.zeros(1, bool)
-        parts = [_certified_grounds(params, [phi]) for phi in phis]
-        return tuple(np.concatenate(part) for part in zip(*parts))
+        halves = [_certified_grounds(params, half) for half in np.array_split(phis, 2)]
+        return tuple(np.concatenate(part) for part in zip(*halves))
     _unit_rows(vectors[..., 0])
     certified = np.abs(shifted @ vectors).max(axis=(-2, -1)) <= _RESIDUAL_LIMIT
-    x = _to_fock(vectors[:, None], params)[points, sectors, :, 0]
-    return eps.min(axis=-1), _parity_states(x, sectors), certified
+    states = _parity_columns(vectors, sectors, params, 2)[..., 0]
+    return eps.min(axis=-1), _unit_rows(states), certified
 
 
 def solve_grounds(params, phis):

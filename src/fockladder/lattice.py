@@ -11,6 +11,8 @@ the linear index.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = [
@@ -51,11 +53,14 @@ def rung_values(n_bosons):
     return np.arange(-half, half + 1, dtype=float)
 
 
+@lru_cache(maxsize=16)
 def _splus_couplings(n_bosons):
-    # <n+1| S_+ |n> = sqrt(S(S+1) - n(n+1)) for n = -S .. S-1
+    # <n+1| S_+ |n> = sqrt(S(S+1) - n(n+1)) for n = -S .. S-1, read-only.
     s = n_bosons / 2.0
     n = rung_values(n_bosons)[:-1]
-    return np.sqrt(s * (s + 1.0) - n * (n + 1.0))
+    couplings = np.sqrt(s * (s + 1.0) - n * (n + 1.0))
+    couplings.setflags(write=False)
+    return couplings
 
 
 def build_sz(n_bosons):

@@ -268,8 +268,8 @@ class TestFindMuMax:
 
     def test_solve_count_on_default_grids(self, monkeypatch):
         # 71 rows of guard + warm bracket + Brent, plus the mu polish:
-        # 5,898 points (an exhaustive 121-point scan is 8,591 alone) in
-        # 1,418 stacked calls, one per guard and one per lockstep Brent step.
+        # 5,448 points (an exhaustive 121-point scan is 8,591 alone) in
+        # 1,362 stacked calls, one per guard and one per lockstep Brent step.
         stacks, spectra = [], []
 
         def counted(params, phis):
@@ -283,8 +283,44 @@ class TestFindMuMax:
         monkeypatch.setattr(experiments, "solve_grounds", counted)
         monkeypatch.setattr(experiments, "sector_spectra", full)
         find_mu_max(20, XI)
-        assert sum(stacks) + len(spectra) <= 6500
-        assert len(stacks) + len(spectra) <= 1600
+        assert sum(stacks) + len(spectra) <= 5550
+        assert len(stacks) + len(spectra) <= 1390
+
+    def test_flux_peak_searches_each_distinct_bracket_once(self, monkeypatch):
+        # The first mu-polish window of find_mu_max(20, 0.5) is centred on its
+        # warm flux, so the warm bracket is also the guard bracket at the
+        # centre.  That bracket gets one search, and the peak is the one found
+        # when the repeat ran a search of its own, last.
+        window = np.linspace(0.6681779613536589, 0.7532899021255834, 25)
+        warm, mu, tau = float(window[12]), -0.4073, 0.01
+        params = SystemParams(n=20, mu=mu, xi=XI, phi=0.0, tau=tau)
+
+        def currents(phis):
+            return chiral_current_normalized(solve_grounds(params, phis)[1], np.asarray(phis))
+
+        values = currents(window)
+        padded = np.concatenate(([-np.inf], values, [-np.inf]))
+        maxima = np.flatnonzero((values > padded[:-2]) & (values >= padded[2:]))
+        brackets = [(float(window[max(k - 1, 0)]), float(window[min(k + 1, 24)])) for k in maxima]
+        step = window[1] - window[0]
+        repeat = (float(max(warm - step, window[0])), float(min(warm + step, window[-1])))
+        assert repeat == (window[11], window[13]) and repeat in brackets
+        started, brent = [], experiments._brent_max
+
+        def recorded(lo, hi, xatol):
+            started.append((lo, hi))
+            return brent(lo, hi, xatol)
+
+        monkeypatch.setattr(experiments, "_brent_max", recorded)
+        peak = experiments._flux_peak(20, mu, XI, tau, window, warm, experiments.POLISH_XATOL)
+        assert started == brackets
+        k = int(np.argmax(values))
+        best = (float(window[k]), float(values[k]))
+        searches = [brent(lo, hi, experiments.POLISH_XATOL) for lo, hi in brackets + [repeat]]
+        for phi, jc in experiments._lockstep(searches, currents):
+            if jc > best[1]:
+                best = (phi, jc)
+        assert peak == best
 
     def test_polish_solves_only_inside_the_flux_grid(self, monkeypatch):
         # The mu polish's flux window is clamped to the scan's own grid, not

@@ -126,6 +126,15 @@ class TestBuildFloquet:
         reference = brute_force_floquet(params)
         np.testing.assert_allclose(fast, reference, atol=1e-12)
 
+    def test_right_leg_phases_mirror_the_left_bit_for_bit(self):
+        # E1's right-leg phases exp(-i [(mu tau / N) n^2 + phi n]) are the
+        # left leg's reversed, for a column of fluxes too.
+        params = SystemParams(n=20, mu=-0.45, xi=0.5, phi=0.0)
+        phis = np.linspace(-1.5, 1.5, 7)[:, None]
+        nvals = np.arange(-10.0, 11.0)
+        direct = np.exp(-1j * ((params.mu * params.tau / params.n) * nvals**2 + phis * nvals))
+        assert (floquet._kick_factors(params, phis)[2] == direct).all()
+
     def test_unitary(self):
         u = build_floquet(SystemParams(n=20, mu=0.5, xi=0.5, phi=1.0))
         assert np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() <= 1e-10
@@ -379,7 +388,11 @@ class TestSolveGround:
         half_e4 = expm(0.25j * n * xi * params.tau * np.kron(SIGMA_X, np.eye(size)))
         u = build_floquet(params)
         framed = half_e4 @ u @ half_e4.conj().T
-        adapted = spectrum(floquet._sector_operators(params, [params.phi])[0], params.tau)
+        built = floquet._sector_operators(params, [params.phi])[0]
+        # As built it is symmetric to rounding; LAPACK and sector_spectra
+        # read its lower triangle, mirrored.
+        assert np.abs(built - np.swapaxes(built, -1, -2)).max() <= 1e-14
+        adapted = spectrum(floquet._lower_mirror(built, params), params.tau)
         assert np.isrealobj(adapted.states)
         spec = sector_spectra(params)
         np.testing.assert_array_equal(spec.quasienergies, adapted.quasienergies)
@@ -520,24 +533,59 @@ class TestSolveGrounds:
         full_eps, full_state, _ = sector_ground(sector_spectra(SystemParams(n=20, mu=0.0, xi=0.5, phi=0.7)))
         assert eps[1] == full_eps and (states[1] == full_state).all()
 
-    def test_failed_factorization_refactors_one_flux_at_a_time(self, monkeypatch):
-        # One singular point must not send its certified neighbours to the
-        # full sector route.
-        fluxes = np.array([0.3, 0.7, 1.1])
+    def test_failed_factorization_halves_the_stack(self, monkeypatch):
+        # One flux whose Cholesky fails sends its stack of 8 through halves
+        # down to that flux alone, which takes the full sector route; its
+        # certified neighbours keep their one-flux numbers.
+        fluxes = np.linspace(0.1, 1.5, 8)
         params = SystemParams(n=20, mu=0.0, xi=0.5, phi=0.0)
-        expected = [solve_ground(SystemParams(n=20, mu=0.0, xi=0.5, phi=phi)) for phi in fluxes]
-        cholesky = np.linalg.cholesky
+        expected = [solve_ground(replace(params, phi=float(phi))) for phi in fluxes]
+        bad = floquet._sector_operators(params, fluxes[2:3]).real - floquet._COS_FLOOR * np.eye(21)
+        cholesky, certified, sizes = np.linalg.cholesky, floquet._certified_grounds, []
 
-        def refuse_the_stack(a):
-            if a.shape[0] > 1:
-                raise np.linalg.LinAlgError("stack")
+        def refuse_the_bad_flux(a):
+            if (a == bad).all(axis=(-3, -2, -1)).any():
+                raise np.linalg.LinAlgError("bad flux")
             return cholesky(a)
 
-        monkeypatch.setattr(floquet.np.linalg, "cholesky", refuse_the_stack)
-        monkeypatch.setattr(floquet, "sector_spectra", None)
+        def recorded(point, phis):
+            sizes.append(len(phis))
+            return certified(point, phis)
+
+        monkeypatch.setattr(floquet.np.linalg, "cholesky", refuse_the_bad_flux)
+        monkeypatch.setattr(floquet, "_certified_grounds", recorded)
         eps, states = solve_grounds(params, fluxes)
-        for k in range(3):
+        assert sizes == [8, 4, 2, 2, 1, 1, 4]
+        full_eps, full_state, _ = sector_ground(sector_spectra(replace(params, phi=float(fluxes[2]))))
+        assert eps[2] == full_eps and (states[2] == full_state).all()
+        for k in (0, 1, 3, 4, 5, 6, 7):
             assert eps[k] == expected[k][0] and (states[k] == expected[k][1]).all()
+
+    def test_factorizations_read_the_lower_triangle(self):
+        # The certificate covers the matrices the shifts and the LU see: the
+        # operator as built is not exactly symmetric, and cholesky and eigvalsh
+        # of it equal those of its lower mirror bit for bit.
+        params = SystemParams(n=20, mu=-0.45, xi=0.5, phi=0.0)
+        w = floquet._sector_operators(params, self.FLUXES[::7])
+        mirror, shift = floquet._lower_mirror(w, params), floquet._COS_FLOOR * np.eye(21)
+        assert (w != np.swapaxes(w, -1, -2)).any() and (mirror == np.swapaxes(mirror, -1, -2)).all()
+        assert (np.linalg.cholesky(w.real - shift) == np.linalg.cholesky(mirror.real - shift)).all()
+        assert (np.linalg.eigvalsh(w.imag) == np.linalg.eigvalsh(mirror.imag)).all()
+
+    @pytest.mark.parametrize("size", [21, 202])
+    @pytest.mark.parametrize("shape", [(), (7,)])
+    @pytest.mark.parametrize("is_complex", [False, True])
+    def test_unit_rows_divide_by_each_rows_own_norm_bit_for_bit(self, size, shape, is_complex):
+        # The unit-norm contract of the states (one ulp) rests on this; an
+        # einsum norm rounds differently.
+        rng = np.random.default_rng(size)
+        rows = rng.standard_normal(shape + (size,))
+        if is_complex:
+            rows = rows + 1j * rng.standard_normal(rows.shape)
+        expected = rows.copy()
+        for index in np.ndindex(shape):
+            expected[index] /= np.linalg.norm(expected[index])
+        assert (floquet._unit_rows(rows) == expected).all()
 
     def test_stacks_are_split_by_the_byte_budget(self, monkeypatch):
         # A budget of two N=20 sector-operator pairs: stacks of 2, 2 and 1.
@@ -626,3 +674,12 @@ class TestRandomAudit:
         assert abs(guard[19] - 0.99484) < 1e-5
         params = SystemParams(n=20, mu=-0.58, xi=0.5, phi=0.0, tau=0.01)
         self._assert_stack_equals_one_flux_solves(params, guard)
+
+    def test_singular_shift_point_in_a_brent_stack(self):
+        # A lockstep Brent stack of find_mu_max(20, 0.5) at mu=-0.59 holds
+        # phi=1.516207359787316, where Y - lambda I is exactly singular in LU
+        # (OpenBLAS 0.3.31): the stack is then halved down to that flux.
+        phis = np.array([0.5764353341037074, 0.6787189860163299, 1.4114876046676563,
+                         1.516207359787316, 1.5696817820710212, 0.6787186293332123])
+        params = SystemParams(n=20, mu=-0.59, xi=0.5, phi=0.0, tau=0.01)
+        self._assert_stack_equals_one_flux_solves(params, phis)

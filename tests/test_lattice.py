@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fockladder.lattice import (
+    _splus_couplings,
     build_sx,
     build_sy,
     build_sz,
@@ -44,6 +45,12 @@ class TestSpinOperators:
         expected = np.zeros((3, 3))
         expected[1, 0] = expected[2, 1] = np.sqrt(2.0)
         np.testing.assert_allclose(sp, expected, atol=1e-15)
+
+    def test_splus_couplings_cached_read_only_per_size(self):
+        couplings = _splus_couplings(20)
+        assert couplings is _splus_couplings(20) and not couplings.flags.writeable
+        n = np.arange(-10.0, 10.0)
+        assert (couplings == np.sqrt(110.0 - n * (n + 1.0))).all()
 
     def test_splus_raises_rung_index(self):
         n_bosons = 6
